@@ -4,7 +4,7 @@ The simulation rows in ``BENCH_sim.json`` measure the checker *behind* a
 cluster or workload generator, so checker regressions hide inside
 simulation noise.  These rows isolate it: a synthetic operation stream is
 generated once (outside the timed region) and replayed straight into the
-checking layer in three configurations:
+checking layer in two configurations:
 
 * **serial** — one :class:`IncrementalAtomicityChecker`, one crossing
   test per completed read, exactly the unbatched streaming path
@@ -12,18 +12,10 @@ checking layer in three configurations:
 * **batched** — the same events bracketed by ``begin_batch`` /
   ``end_batch`` at a fixed chunk size, the way
   :class:`~repro.consistency.stream.CheckerBatcher` brackets event-loop
-  drains (``checker_batched_ops_per_s``);
-* **parallel mux** — a multi-object namespace stream fed through an
-  :class:`~repro.consistency.multiplex.ObjectCheckerMux` in
-  worker-process mode, measuring the forwarding + worker-checking
-  pipeline end to end including the ``finish()`` drain
-  (``multiobj_checked_ops_per_s``).  Worker spawn time is excluded (the
-  mux is constructed before the clock starts) because in real runs the
-  workers spawn once and check for the whole run.
+  drains (``checker_batched_ops_per_s``).
 
 ``run_benchmarks.py`` folds the rows into ``BENCH_sim.json``;
-``checker_ops_per_s`` and ``multiobj_checked_ops_per_s`` are gated in CI
-at the standard regression factor.
+``checker_ops_per_s`` is gated in CI at the standard regression factor.
 """
 
 from __future__ import annotations
@@ -32,7 +24,6 @@ import time
 from typing import Dict, List, Tuple
 
 from repro.consistency.incremental import IncrementalAtomicityChecker
-from repro.consistency.multiplex import ObjectCheckerMux
 from repro.consistency.stream import (
     OperationRecord,
     StreamingRecorder,
@@ -130,59 +121,14 @@ def bench_batched(events: List[Tuple[int, OperationRecord]], invoked: int) -> fl
     return invoked / wall
 
 
-def bench_parallel_mux(
-    tapes: List[_Tape], invoked: int, *, workers: int = 2
-) -> float:
-    """Operations per second through a worker-mode ObjectCheckerMux.
-
-    Replays per-object tapes into the mux's recorders (exercising the
-    forwarding observers and queues) and times feed + ``finish()`` drain;
-    worker spawn happens before the clock starts.
-    """
-    mux = ObjectCheckerMux(objects=len(tapes), window=256, workers=workers)
-    start = time.perf_counter()
-    for index, tape in enumerate(tapes):
-        recorder = mux.recorders[index]
-        invoke = recorder.invoke
-        respond = recorder.respond
-        for event in tape.events:
-            if event[0] == "i":
-                invoke(event[1], event[2], event[3], event[4], event[5])
-            else:
-                respond(event[1], event[2], value=event[3])
-    mux.finish()
-    wall = time.perf_counter() - start
-    if not mux.ok:  # pragma: no cover - would be a generator/checker bug
-        raise RuntimeError(f"clean stream flagged: {mux.violations()}")
-    return invoked / wall
-
-
 def bench_checker(*, quick: bool = False, seed: int = 7) -> Dict[str, float]:
     """The checker rows folded into BENCH_sim.json by run_benchmarks.py."""
     single_ops = 10_000 if quick else 100_000
-    # The mux row needs enough work to amortize worker spawn latency even
-    # in quick mode, or the rate collapses into startup noise: the workers
-    # are still importing while a small feed is already over, and
-    # ``finish()`` then waits on them doing nothing.
-    per_object_ops = 6_000 if quick else 12_000
-    objects = 8
-
     tape = record_tape(single_ops, clients=16, seed=seed)
     events = _checker_events(tape)
-    tapes = [
-        record_tape(per_object_ops, clients=4, seed=seed * 1_000 + index)
-        for index in range(objects)
-    ]
-    multiobj_invoked = sum(
-        1 for t in tapes for event in t.events if event[0] == "i"
-    )
-
     return {
         "checker_ops_per_s": bench_serial(events, single_ops),
         "checker_batched_ops_per_s": bench_batched(events, single_ops),
-        "multiobj_checked_ops_per_s": bench_parallel_mux(
-            tapes, multiobj_invoked, workers=2
-        ),
     }
 
 

@@ -1,9 +1,9 @@
 """Fleet-mode throughput rows: partitioned namespace over OS processes.
 
 The ``multiobj_*`` rows in ``BENCH_sim.json`` run an 8-register namespace
-through **one** simulation in **one** process, so they measure what a
-single core sustains.  Fleet mode (:mod:`repro.analysis.fleet`) splits
-the same namespace into partitions, each simulated in its own spawned
+in **one** process (``fleet=1``), so they measure what a single core
+sustains.  The namespace engine (:mod:`repro.analysis.fleet`) splits the
+same namespace into partitions, each simulated in its own spawned
 process with per-object derived seeds — the artefacts are byte-identical
 for any partition count, so the only thing that changes is where the CPU
 time is spent.  These rows measure that:
@@ -21,7 +21,7 @@ time is spent.  These rows measure that:
 * ``fleet_max_resident`` — the per-object bounded-recorder residency
   ceiling, max over every cell.  Deterministic (window + clients per
   object), so it gates the bounded-memory property exactly like
-  ``multiobj_max_resident`` does for the monolithic run.
+  ``multiobj_max_resident`` does for the in-process run.
 * ``fleet_wall_ops_per_s`` — issued / wall seconds *on this host* (cells
   time-slice one core here).  Trajectory record, not a gate: it measures
   the committer's core count as much as the code.

@@ -12,9 +12,9 @@ Two artefacts track the repository's performance trajectory:
   rows (``eventloop_events_per_s`` / ``send_path_msgs_per_s`` /
   ``eventloop_cancel_ops_per_s`` — see :mod:`bench_event_loop`, gated
   tighter than the protocol rows), checker-core microbenchmark rows
-  (``checker_ops_per_s`` / ``checker_batched_ops_per_s`` /
-  ``multiobj_checked_ops_per_s`` — pre-generated operation streams
-  replayed straight into the checking layer, see :mod:`bench_checker`),
+  (``checker_ops_per_s`` / ``checker_batched_ops_per_s`` — pre-generated
+  operation streams replayed straight into the checking layer, see
+  :mod:`bench_checker`),
   a sweep-engine throughput
   row (``sweep_points_per_s``), a streaming-checker throughput row
   (``stream_ops_per_s``, the incremental atomicity checker over a
@@ -23,11 +23,11 @@ Two artefacts track the repository's performance trajectory:
   gated ``longrun_max_resident`` memory gauge — see
   :mod:`repro.analysis.longrun`), multi-object namespace rows
   (``multiobj_ops_per_s`` / ``multiobj_events_per_s`` for an 8-register
-  Zipf-skewed namespace run, plus the gated ``multiobj_max_resident``
-  per-object recorder gauge), open-loop traffic rows
-  (``openloop_ops_per_s`` wall rate plus the gated ``openloop_p99_ms``
-  simulated p99 latency under Poisson load — see
-  :mod:`repro.analysis.openloop`) and fleet-mode rows
+  Zipf-skewed in-process namespace run, plus the gated
+  ``multiobj_max_resident`` per-object recorder gauge), open-loop traffic
+  rows (``openloop_ops_per_s`` wall rate plus the gated
+  ``openloop_p99_ms`` simulated p99 latency under Poisson load on one
+  register — see :mod:`repro.analysis.fleet`) and fleet-mode rows
   (``fleet_ops_per_s`` / ``fleet_events_per_s`` — the same 8-register
   namespace partitioned across spawned processes, rated against the
   per-epoch CPU critical path so the number is host-core-count
@@ -71,8 +71,8 @@ from bench_fleet import bench_fleet  # noqa: E402
 from bench_gf_kernels import bench_erasure  # noqa: E402
 
 from repro.analysis.experiments import storage_cost_vs_f  # noqa: E402
-from repro.analysis.longrun import run_longrun, run_multi_longrun  # noqa: E402
-from repro.analysis.openloop import run_openloop  # noqa: E402
+from repro.analysis.fleet import run_fleet_longrun, run_fleet_openloop  # noqa: E402
+from repro.analysis.longrun import run_longrun  # noqa: E402
 from repro.baselines.registry import make_cluster  # noqa: E402
 from repro.consistency.incremental import IncrementalAtomicityChecker  # noqa: E402
 from repro.consistency.stream import StreamingRecorder  # noqa: E402
@@ -101,11 +101,11 @@ SIM_PROTOCOLS = ("ABD", "CAS", "CASGC", "SODA")
 #: rate rows (per-protocol ``*_events_per_s``, ``sweep_points_per_s``,
 #: ``stream_ops_per_s``) are trajectory records, not gates: stacking more
 #: absolute wall-clock gates would multiply the odds of a slow CI host
-#: failing with no code change.  The checker-core rows
-#: (``checker_ops_per_s``, ``multiobj_checked_ops_per_s``) ARE gated:
-#: they replay a pre-generated stream with no simulation in the loop, so
-#: they are far less noisy than the end-to-end rates and a 2x drop means
-#: the checker's flat core (or the mux forwarding pipeline) regressed.
+#: failing with no code change.  The checker-core row
+#: (``checker_ops_per_s``) IS gated: it replays a pre-generated stream
+#: with no simulation in the loop, so it is far less noisy than the
+#: end-to-end rates and a 2x drop means the checker's flat core
+#: regressed.
 GATED_METRICS = {
     "erasure": [
         "encode_speedup_vs_seed",
@@ -121,7 +121,6 @@ GATED_METRICS = {
         "eventloop_events_per_s",
         "send_path_msgs_per_s",
         "checker_ops_per_s",
-        "multiobj_checked_ops_per_s",
         "openloop_ops_per_s",
         "fleet_ops_per_s",
         "fleet_events_per_s",
@@ -135,10 +134,6 @@ GATED_METRICS = {
 GATED_METRIC_FACTORS = {
     "eventloop_events_per_s": 1 / 0.7,
     "send_path_msgs_per_s": 1 / 0.7,
-    # The worker-mode mux row includes process spawn/import amortization,
-    # which varies with host cold-start far more than pure compute does —
-    # gate it, but at a looser threshold than the in-process rows.
-    "multiobj_checked_ops_per_s": 3.0,
     # The new erasure rows are raw wall-clock rates (unlike the
     # machine-independent *_vs_seed ratios), and stripe_encode additionally
     # takes the max over whatever GF backends build on the host.  A looser
@@ -154,8 +149,7 @@ GATED_METRIC_FACTORS = {
     "openloop_ops_per_s": 3.0,
     # The fleet capacity rows are CPU-time rates (core-count independent)
     # but still scale with the host's single-core speed, and each cell
-    # pays spawn/import amortization in its CPU account — same looseness
-    # as the other process-spawning row (multiobj_checked_ops_per_s).
+    # pays spawn/import amortization in its CPU account, so gate loosely.
     "fleet_ops_per_s": 3.0,
     "fleet_events_per_s": 3.0,
 }
@@ -252,10 +246,10 @@ def bench_sim(*, quick: bool = False, seed: int = 7) -> Dict[str, object]:
     results.update(bench_event_loop(quick=quick))
 
     # Checker-core microbenchmark rows: pre-generated operation streams
-    # replayed straight into the checking layer — serial per-op, batched
-    # (drain-sized begin/end_batch brackets) and worker-process mux
-    # pipelines (see bench_checker.py).  The serial and mux rows carry CI
-    # gates: no simulation in the loop makes them stable enough to gate.
+    # replayed straight into the checking layer — serial per-op and
+    # batched (drain-sized begin/end_batch brackets; see bench_checker.py).
+    # The serial row carries a CI gate: no simulation in the loop makes
+    # it stable enough to gate.
     results.update(bench_checker(quick=quick, seed=seed))
 
     # Sweep-engine throughput: points of the E2 storage sweep per second
@@ -304,16 +298,17 @@ def bench_sim(*, quick: bool = False, seed: int = 7) -> Dict[str, object]:
     results["longrun_events_per_s"] = report.events / report.wall_s
     results["longrun_max_resident"] = float(report.stream_max_resident)
 
-    # Multi-object namespace throughput: 8 registers multiplexed over one
-    # shared simulation, Zipf-skewed hot key, per-object bounded recorders
-    # + online checkers, namespace verdict merged per object.  The
-    # residency gauge (max over the per-object recorders) is deterministic
-    # and gated; the rate row is a trajectory record.
+    # Multi-object namespace throughput: 8 registers, Zipf-skewed hot key,
+    # each on its own in-process simulation (fleet=1) with a per-object
+    # bounded recorder + online checker, namespace verdict merged per
+    # object.  The residency gauge (max over the per-object recorders) is
+    # deterministic and gated; the rate row is a trajectory record.
     multiobj_ops = 1_000 if quick else 8_000
-    multiobj_report = run_multi_longrun(
+    multiobj_report = run_fleet_longrun(
         "SODA",
         ops=multiobj_ops,
         epoch_ops=max(500, multiobj_ops // 4),
+        fleet=1,
         jobs=1,
         objects=8,
         key_dist="zipf:1.1",
@@ -332,17 +327,20 @@ def bench_sim(*, quick: bool = False, seed: int = 7) -> Dict[str, object]:
     )
     results["multiobj_max_resident"] = float(multiobj_report.stream_max_resident)
 
-    # Open-loop traffic rows: seeded Poisson arrivals through the bounded
-    # admission queue, latency measured from arrival (queueing included)
-    # into log-bucketed histograms.  The wall rate is gated loosely (host
-    # speed); the p99 is in simulated ms — deterministic for the seed — so
-    # it gates the protocol/admission latency behaviour itself.
+    # Open-loop traffic rows: seeded Poisson arrivals on one register
+    # through the bounded admission queue, latency measured from arrival
+    # (queueing included) into log-bucketed histograms.  The wall rate is
+    # gated loosely (host speed); the p99 is in simulated ms —
+    # deterministic for the seed — so it gates the protocol/admission
+    # latency behaviour itself.
     openloop_ops = 1_200 if quick else 12_000
-    openloop_report = run_openloop(
+    openloop_report = run_fleet_openloop(
         "SODA",
         ops=openloop_ops,
         epoch_ops=max(400, openloop_ops // 4),
+        fleet=1,
         jobs=1,
+        objects=1,
         arrival="poisson:2",
         policy="drop",
         n=5,  # match the other sim rows' cluster shape

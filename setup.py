@@ -1,12 +1,18 @@
-"""Setuptools shim.
+"""Packaging for the SODA reproduction (``repro``, sources under ``src/``).
 
-The execution environment for this reproduction is offline and does not ship
-the ``wheel`` package, so PEP 517 editable installs (which build a wheel for
-metadata) fail.  Keeping a classic ``setup.py`` lets ``pip install -e .`` fall
-back to the legacy ``setup.py develop`` path.  All project metadata lives in
-``pyproject.toml``.
+A classic ``setup.py`` holding all project metadata: it needs no
+``wheel`` package to build metadata, so ``pip install -e .`` works
+offline through the legacy ``setup.py develop`` path, and
+``python setup.py --name --version`` reports the real name and version.
+Keep ``version`` in step with ``repro.__version__``.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="soda-repro",
+    version="1.0.0",
+    package_dir={"": "src"},
+    packages=find_packages(where="src"),
+    install_requires=["numpy"],
+)

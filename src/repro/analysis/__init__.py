@@ -20,6 +20,10 @@
   long real-cluster execution sharded into epochs over the sweep pool,
   checked online under bounded memory, with per-shard verdicts merged by
   :mod:`repro.consistency.shardmerge` (``experiment longrun``).
+* :mod:`repro.analysis.fleet` — the namespace engine behind every
+  multi-object run (``experiment longrun --objects N``, ``openloop``,
+  ``adversary``): per-object simulations partitioned over processes,
+  per-object verdicts merged into one namespace verdict.
 """
 
 from repro.analysis import theoretical

@@ -1,49 +1,45 @@
-"""Fleet mode: partition a namespace across OS processes (``--fleet P``).
+"""The namespace engine: multi-object runs partitioned across processes.
 
-The namespace engines (:func:`repro.analysis.longrun.run_multi_longrun`,
-:func:`repro.analysis.openloop.run_openloop`,
-:func:`repro.analysis.adversary.run_adversary`) shard a run *across
-epochs*: each epoch still simulates the whole namespace in one process,
-so a single hot simulation loop bounds the sustained rate however many
-cores the host has.  This module shards the other axis too: every epoch's
-namespace is split into ``P`` partitions
-(:func:`repro.workloads.keyed.partition_objects`, LPT on the popularity
-shares), and each **cell** — one ``(epoch, partition)`` pair — simulates
-its objects in its own spawned process
-(:func:`repro.runtime.fleet.fleet_cell_point`).  The cell grid is
-``epochs × P``; with ``--jobs J`` up to ``J × P`` cells are in flight, so
-a fleet saturates every core of the host for the whole run.
+Every multi-object run — closed loop (``experiment longrun --objects N``),
+open loop (``experiment openloop``) and adversarial (``experiment
+adversary``) — goes through this module.  A run is a deterministic grid
+of **epochs** (the long-run sharding grain, see
+:mod:`repro.analysis.longrun`); every epoch's namespace is further split
+into ``P`` partitions (:func:`repro.workloads.keyed.partition_objects`,
+LPT on the popularity shares), and each **cell** — one
+``(epoch, partition)`` pair — simulates its objects, each on its own
+fresh simulation (:func:`repro.runtime.fleet.fleet_cell_point`).  The
+cell grid is ``epochs × P``; with ``--jobs J`` up to ``J × P`` cells are
+in flight over the spawn pool, and ``--fleet 1 --jobs 1`` runs the whole
+grid in-process.
+
+Simulating each object on its own clock is sound because linearizability
+is local (Herlihy & Wing): a namespace is atomic iff each register is,
+and the paper's registers never exchange messages.  Each object's
+history is checked online by its own checker and the per-object shard
+verdicts merge into one namespace verdict
+(:func:`repro.consistency.shardmerge.merge_namespace_verdicts`).
 
 **Byte-identity contract.**  Everything a cell computes is a pure
-function of ``(seed, object)``: epoch seeds are the *same*
-``derive_seed(seed, engine_name, k)`` values the monolithic namespace
-engines use, each object's driver inputs come from the namespace-wide
+function of ``(seed, object)``: epoch seeds are
+``derive_seed(seed, engine_name, k)`` with the engine names
+``multiobj-<p>``, ``openloop-<p>`` and ``adversary-<p>``, each object's
+driver inputs come from the namespace-wide
 :func:`~repro.workloads.keyed.plan_objects` draw, its simulation seed is
 :func:`~repro.runtime.fleet.fleet_object_seed`, and its fault/audit
 seeds derive from its global index.  The partition assignment and the
 pool schedule only decide *where* an object simulates — so the reports
 here, and both artefacts, are byte-identical for any ``--fleet`` /
-``--jobs`` / ``--checker-workers`` combination (the CI ``fleet-smoke``
-job diffs all three axes).  Sharing the monolithic epoch-seed grid also
-means every per-object driver outcome (allocated/issued/writes/reads)
-matches the monolithic namespace run exactly — the cross-validation
-tests rely on it.  What fleet gives up is the namespace's shared clock:
-objects no longer interleave on one timeline (sound, because objects
-never exchange messages), so fleet artefacts are a sibling *kind*
-(``fleet-longrun`` …), not a byte-compatible replacement for the
-monolithic ones.
+``--jobs`` combination (the CI ``fleet-smoke`` job diffs both axes).
 
 **Capacity metric.**  Each cell measures its own CPU seconds; an epoch's
 critical path is the *maximum* over its cells, and ``fleet_cpu_s`` sums
-the critical paths.  ``fleet_ops_per_s = issued / fleet_cpu_s`` is the
-sustained namespace rate with one core per partition — equal to the
-wall-clock rate on a ``>= P``-core host, and measurable (deterministically
-scheduled, modulo CPU noise) even on a 1-core CI runner.  The wall-clock
-rate of *this* host rides along as ``ops_per_s``.
+the critical paths.  ``fleet_ops_per_s = issued / fleet_cpu_s`` is a
+*model* of the sustained namespace rate with one core per partition —
+equal to the wall-clock rate on a ``>= P``-core host.  The measured
+wall-clock rate of *this* host rides along as ``ops_per_s``.
 
-``python -m repro.cli experiment longrun|openloop|adversary --fleet P``
-are the command-line entry points; artefacts land under ``results/`` as
-``fleet_*.json`` / ``.csv``.
+Artefacts land under ``results/`` as ``fleet_*.json`` / ``.csv``.
 """
 
 from __future__ import annotations
@@ -65,11 +61,6 @@ from repro.analysis.longrun import (
     _rebase_summary,
     default_protocol_kwargs,
 )
-from repro.analysis.openloop import (
-    OPENLOOP_SCHEMA_VERSION,
-    _jsonable_float,
-    _latency_block,
-)
 from repro.analysis.pool import in_order, iter_unordered
 from repro.analysis.sweep import derive_seed
 from repro.consistency.incremental import Violation
@@ -83,6 +74,28 @@ from repro.runtime.fleet import fleet_cell_point
 from repro.workloads.arrivals import parse_arrival
 from repro.workloads.faults import canonical_fault_spec
 from repro.workloads.keyed import parse_key_dist, partition_objects
+
+#: Open-loop artefact schema version (bump on breaking changes to the
+#: JSON layout); closed-loop and adversarial artefacts share
+#: :data:`~repro.analysis.longrun.LONGRUN_SCHEMA_VERSION`.
+OPENLOOP_SCHEMA_VERSION = 1
+
+
+def _jsonable_float(value: float) -> Optional[float]:
+    """JSON-safe float: the nan/inf sentinels become ``null``."""
+    return None if math.isnan(value) or math.isinf(value) else value
+
+
+def _latency_block(hist: LatencyHistogram, slo: float) -> Dict[str, object]:
+    summary = hist.summary()
+    return {
+        "summary": {
+            key: (value if key == "count" else _jsonable_float(value))
+            for key, value in summary.items()
+        },
+        "slo_attainment": _jsonable_float(hist.attainment(slo)),
+        "histogram": hist.to_jsonable(),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -102,10 +115,10 @@ def _fleet_grid(
 ) -> Tuple[int, int, List[Dict[str, object]]]:
     """The deterministic ``epochs × partitions`` cell grid.
 
-    Epoch seeds reuse the monolithic engine's sweep name, so per-object
-    driver outcomes cross-validate exactly against the single-process
-    namespace run; the partition split is a pure function of the key
-    distribution.  Returns ``(epochs, partitions, payloads)``.
+    Epoch seeds derive from ``engine_name`` (``multiobj-<p>``,
+    ``openloop-<p>`` or ``adversary-<p>``); the partition split is a pure
+    function of the key distribution.  Returns
+    ``(epochs, partitions, payloads)``.
     """
     if ops < 1:
         raise ValueError("ops must be positive")
@@ -348,11 +361,11 @@ class _FleetTimingMixin:
 class FleetLongRunReport(_FleetTimingMixin):
     """Outcome of one closed-loop fleet run.
 
-    Mirrors :class:`~repro.analysis.longrun.MultiObjectLongRunReport`
-    (namespace checker verdict, per-epoch and per-object rows) with the
-    fleet capacity bookkeeping on top.  ``fleet``, ``jobs``, wall-clock
-    and CPU timing are excluded from :meth:`to_jsonable`, so artefacts
-    diff clean across every ``--fleet``/``--jobs``/``--checker-workers``.
+    The namespace checker verdict (per-object merges and their
+    conjunction), per-epoch and per-object rows, and the fleet capacity
+    bookkeeping.  ``fleet``, ``jobs``, wall-clock and CPU timing are
+    excluded from :meth:`to_jsonable`, so artefacts diff clean across
+    every ``--fleet``/``--jobs`` combination.
     """
 
     protocol: str
@@ -443,9 +456,9 @@ class FleetLongRunReport(_FleetTimingMixin):
 class FleetOpenLoopReport(_FleetTimingMixin):
     """Outcome of one open-loop fleet run.
 
-    Mirrors :class:`~repro.analysis.openloop.OpenLoopReport` — admission
-    counters sum, per-object bounded-memory latency histograms merge in
-    (epoch, object) order — plus per-object rows and the fleet capacity
+    Admission counters sum and per-object bounded-memory latency
+    histograms merge in (epoch, object) order, so the percentiles describe
+    the whole run; plus per-object rows and the fleet capacity
     bookkeeping.
     """
 
@@ -583,10 +596,15 @@ class FleetOpenLoopReport(_FleetTimingMixin):
 class FleetAdversaryReport(_FleetTimingMixin):
     """Outcome of one adversarial fleet run.
 
-    Mirrors :class:`~repro.analysis.adversary.AdversaryRunReport` — the
-    same fault ground truth, audit columns and detection contract, with
-    every seed derived from the object's global index — plus the fleet
-    capacity bookkeeping.
+    Three verdicts per object: the checker verdict (atomicity must hold
+    even when reads stall — the adversaries drop and delay messages, they
+    never forge them), the audit verdict (did the probes flag the register
+    unrecoverable, and when) and the stall observation (when did a
+    foreground read first exceed the stall threshold).  The detection
+    contract: every register whose surviving element count drops below
+    ``k`` is flagged *before* any foreground read stalls, and no fully
+    recoverable register is flagged.  Fault ground truth and audit seeds
+    derive from each object's global index.
     """
 
     protocol: str
@@ -711,18 +729,17 @@ def run_fleet_longrun(
     frontier_limit: int = 256,
     seed: int = 0,
     protocol_kwargs: Optional[Mapping[str, object]] = None,
-    checker_workers: int = 1,
     faults: object = "none",
 ) -> FleetLongRunReport:
-    """Run one closed-loop fleet execution over ``epochs × fleet`` cells.
+    """Run one closed-loop namespace execution over ``epochs × fleet`` cells.
 
-    Parameters mirror :func:`~repro.analysis.longrun.run_multi_longrun`
-    (and share its epoch-seed grid, so per-object driver outcomes match
-    the monolithic run exactly); ``fleet`` is the partition count and
-    ``jobs`` how many epochs may be in flight at once — up to
-    ``jobs × fleet`` processes.  ``checker_workers`` is accepted for
-    interface parity but vacuous here: every cell object has its own
-    single-object checker mux, which caps workers at one.
+    ``fleet`` is the partition count and ``jobs`` how many epochs may be
+    in flight at once — up to ``jobs × fleet`` processes.  Each object
+    streams its share of ``ops`` through a bounded recorder with its own
+    online checker; the namespace verdict is byte-identical for every
+    ``fleet``/``jobs``.  Defaults are smaller than the single-register
+    long run (fewer clients, smaller window) because the namespace
+    multiplies both by ``objects``.
     """
     dist_spec = parse_key_dist(key_dist).spec()
     faults_spec = canonical_fault_spec(faults)
@@ -751,7 +768,6 @@ def run_fleet_longrun(
             "window": window,
             "frontier_limit": frontier_limit,
             "cluster_kwargs": cluster_kwargs,
-            "checker_workers": checker_workers,
             "faults_spec": faults_spec,
             "max_events": None,
         },
@@ -897,15 +913,17 @@ def run_fleet_openloop(
     protocol_kwargs: Optional[Mapping[str, object]] = None,
     faults: object = "none",
 ) -> FleetOpenLoopReport:
-    """Run one open-loop fleet execution over ``epochs × fleet`` cells.
+    """Run one open-loop namespace execution over ``epochs × fleet`` cells.
 
-    Parameters mirror :func:`~repro.analysis.openloop.run_openloop` with
-    the namespace defaulting to 8 objects (fleet mode is the namespace
-    engine); each object's arrival process is the namespace process
-    scaled by its popularity share, exactly as in the monolithic
-    namespace driver, so the offered rate is partition-independent.
-    Trace arrivals cannot be rescaled and raise, as in the monolithic
-    namespace run.
+    ``arrival``/``key_dist`` are spec strings (``poisson:4``,
+    ``zipf:1.1``), recorded canonicalised in the artefact params.  Each
+    object's arrival process is the namespace process scaled by its
+    popularity share, so the offered rate is partition-independent; a
+    trace arrival replays unscaled on a single object and raises on a
+    larger namespace.  Each epoch restarts the arrival clock at zero;
+    counters sum and histograms merge across epochs and objects.  ``slo``
+    is the latency target (in simulated milliseconds) for the attainment
+    numbers.
     """
     arrival_spec = parse_arrival(arrival).spec()
     dist_spec = parse_key_dist(key_dist).spec()
@@ -1074,15 +1092,18 @@ def run_fleet_adversary(
     audit_rounds: int = 80,
     audit_start: float = 1.0,
     protocol_kwargs: Optional[Mapping[str, object]] = None,
-    checker_workers: int = 1,
 ) -> FleetAdversaryReport:
-    """Run one adversarial fleet execution over ``epochs × fleet`` cells.
+    """Run one adversarial namespace execution over ``epochs × fleet`` cells.
 
-    Parameters mirror :func:`~repro.analysis.adversary.run_adversary`;
-    fault ground truth and audit seeds derive from each object's global
-    index (the withhold victim draw runs over the logical namespace), so
-    which registers drop below ``k`` is partition-independent and matches
-    the monolithic adversarial run per object.
+    Fault ground truth and audit seeds derive from each epoch's seed and
+    each object's global index (the withhold victim draw runs over the
+    logical namespace), so which registers drop below ``k`` is
+    partition-independent.  The default plan withholds one element
+    beyond the MDS slack for 30 time units (``withhold:1:40:30`` —
+    ``n - k + 1`` servers withhold, leaving ``k - 1`` surviving elements)
+    and earlier isolates ``f`` servers along a seeded cut for 12
+    (``partition:2:10:12`` — exactly ``k`` reachable, the canonical
+    must-not-flag case).
     """
     if stall_threshold <= 0:
         raise ValueError("stall_threshold must be positive")
@@ -1113,7 +1134,6 @@ def run_fleet_adversary(
             "window": window,
             "frontier_limit": frontier_limit,
             "cluster_kwargs": cluster_kwargs,
-            "checker_workers": checker_workers,
             "faults_spec": faults_spec,
             "stall_threshold": stall_threshold,
             "audit_sample": audit_sample,
@@ -1300,8 +1320,8 @@ _PATHS_BY_KIND = {
 def write_fleet_artefacts(report, directory: Path) -> Tuple[Path, Path]:
     """Write the deterministic JSON report and per-(epoch, object) CSV of
     any fleet report under ``directory``; byte-identical for every
-    ``--fleet`` / ``--jobs`` / ``--checker-workers`` combination (the CI
-    ``fleet-smoke`` job diffs all three axes)."""
+    ``--fleet`` / ``--jobs`` combination (the CI ``fleet-smoke`` job
+    diffs both axes)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     jsonable = report.to_jsonable()

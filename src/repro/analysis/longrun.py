@@ -50,12 +50,9 @@ from repro.consistency.incremental import (
     IncrementalAtomicityChecker,
     Violation,
 )
-from repro.consistency.multiplex import ObjectCheckerMux
 from repro.consistency.shardmerge import (
     MergedCheckResult,
-    NamespaceCheckResult,
     ShardVerdict,
-    merge_namespace_verdicts,
     merge_shard_verdicts,
     shard_verdict_from_checker,
     shift_summary,
@@ -66,9 +63,7 @@ from repro.consistency.stream import (
     StreamingRecorder,
     StreamObserver,
 )
-from repro.runtime.namespace import MultiRegisterCluster
 from repro.workloads.faults import canonical_fault_spec
-from repro.workloads.keyed import parse_key_dist
 
 #: Artefact schema version (bump on breaking changes to the JSON layout).
 LONGRUN_SCHEMA_VERSION = 1
@@ -635,523 +630,5 @@ def write_longrun_artefacts(
         writer = csv.DictWriter(handle, fieldnames=fieldnames)
         writer.writeheader()
         for row in report.epochs:
-            writer.writerow(row.as_dict())
-    return json_path, csv_path
-
-
-# ======================================================================
-# multi-object (namespace) long runs
-# ======================================================================
-def multiobj_epoch_point(
-    *,
-    protocol: str,
-    n: int,
-    f: int,
-    num_writers: int,
-    num_readers: int,
-    objects: int,
-    key_dist_spec: str,
-    epoch_index: int,
-    ops: int,
-    value_size: int,
-    mean_gap: float,
-    window: int,
-    frontier_limit: int,
-    keep_records: bool,
-    cluster_kwargs: Mapping[str, object],
-    seed: int,
-    checker_workers: int = 1,
-    faults_spec: str = "none",
-    max_events: Optional[int] = None,
-) -> Dict[str, object]:
-    """One epoch of a multi-object long run: a fresh namespace streamed
-    for ``ops`` keyed operations over one shared simulation.
-
-    The per-object checker mux records each object's operations through
-    its own bounded recorder + incremental checker; the payload carries
-    one :class:`~repro.consistency.shardmerge.ShardVerdict` per object so
-    the merge can reconcile each object's epochs independently.
-
-    ``checker_workers > 1`` moves the per-object checkers into spawned
-    worker processes that check concurrently with the simulation; verdicts
-    are byte-identical for any worker count (and the mux falls back to
-    serial checking when this epoch already runs inside a daemonic sweep
-    worker, which cannot spawn children).
-    """
-    marker = _epoch_marker(epoch_index)
-    mux = ObjectCheckerMux(
-        objects,
-        window=window,
-        frontier_limit=frontier_limit,
-        initial_value=marker,
-        workers=checker_workers,
-    )
-    taps = [
-        mux.recorders[j].subscribe(_RecordTap()) if keep_records else None
-        for j in range(objects)
-    ]
-    cluster = MultiRegisterCluster(
-        protocol,
-        n,
-        f,
-        objects=objects,
-        num_writers=num_writers,
-        num_readers=num_readers,
-        seed=seed,
-        initial_value=marker,
-        recorder_factory=mux.recorder,
-        protocol_kwargs=dict(cluster_kwargs),
-    )
-    if faults_spec != "none":
-        cluster.apply_fault_plan(faults_spec, seed=seed)
-    start = time.perf_counter()
-    stats = cluster.run_streamed(
-        operations=ops,
-        key_dist=parse_key_dist(key_dist_spec),
-        value_size=value_size,
-        mean_gap=mean_gap,
-        seed=seed + 1,
-        value_prefix=f"e{epoch_index}|",
-        max_events=max_events,
-    )
-    wall_s = time.perf_counter() - start
-    _require_complete(stats, f"multiobj longrun epoch {epoch_index}")
-    mux.finish()
-    object_payloads = []
-    for j in range(objects):
-        verdict = mux.shard_verdict(epoch_index, j)
-        per_obj = stats.per_object[j]
-        object_payloads.append(
-            {
-                "allocated": stats.allocation[j],
-                "issued": per_obj.issued,
-                "completed": per_obj.completed,
-                "failed": per_obj.failed,
-                "writes": per_obj.writes,
-                "reads": per_obj.reads,
-                "distinct_writes": sum(
-                    1 for s in verdict.summaries if s.has_write and not s.initial
-                ),
-                "max_resident": mux.recorders[j].max_resident,
-                "evicted": mux.recorders[j].evicted_count,
-                "checker_ok": mux.object_ok(j),
-                "verdict": verdict,
-                "records": tuple(taps[j].records.values()) if keep_records else None,
-            }
-        )
-    return {
-        "epoch": epoch_index,
-        "seed": seed,
-        "ops": ops,
-        "end_time": stats.end_time,
-        "events": stats.events,
-        "max_resident": mux.max_resident,
-        "objects": object_payloads,
-        "wall_s": wall_s,
-        "max_rss_kb": max_rss_kb(),
-    }
-
-
-@dataclass(frozen=True)
-class MultiObjectEpochRow:
-    """Deterministic per-(epoch, object) artefact row."""
-
-    epoch: int
-    object: int
-    seed: int
-    allocated: int
-    issued: int
-    completed: int
-    failed: int
-    writes: int
-    reads: int
-    distinct_writes: int
-    offset: float
-    max_resident: int
-    evicted: int
-    checker_ok: bool
-
-    def as_dict(self) -> Dict[str, object]:
-        return asdict(self)
-
-
-@dataclass(frozen=True)
-class MultiEpochRow:
-    """Deterministic per-epoch aggregate row (all objects of the epoch)."""
-
-    index: int
-    seed: int
-    ops: int
-    issued: int
-    completed: int
-    failed: int
-    end_time: float
-    offset: float
-    events: int
-    max_resident: int
-    checker_ok: bool
-
-    def as_dict(self) -> Dict[str, object]:
-        return asdict(self)
-
-
-@dataclass
-class MultiObjectLongRunReport:
-    """Outcome of one sharded multi-object long run.
-
-    Mirrors :class:`LongRunReport`, with the verdict replaced by a
-    :class:`~repro.consistency.shardmerge.NamespaceCheckResult` (one merged
-    verdict per object plus their conjunction) and the rows split into
-    per-epoch aggregates and per-(epoch, object) detail rows.
-    """
-
-    protocol: str
-    n: int
-    f: int
-    objects: int
-    params: Dict[str, object]
-    epochs: List[MultiEpochRow]
-    object_rows: List[MultiObjectEpochRow]
-    verdict: NamespaceCheckResult
-    local_violations: Tuple[Tuple[int, Violation], ...]
-    stream_max_resident: int
-    wall_s: float
-    jobs: int
-    #: Peak resident-set size (KB) over the epoch workers (see
-    #: :class:`LongRunReport.worker_max_rss_kb`); excluded from artefacts.
-    worker_max_rss_kb: int = 0
-    replay_histories: Optional[List[History]] = field(default=None, repr=False)
-
-    # -- aggregate accessors ------------------------------------------------
-    @property
-    def ok(self) -> bool:
-        return self.verdict.ok and all(row.checker_ok for row in self.epochs)
-
-    @property
-    def issued(self) -> int:
-        return sum(row.issued for row in self.epochs)
-
-    @property
-    def completed(self) -> int:
-        return sum(row.completed for row in self.epochs)
-
-    @property
-    def failed(self) -> int:
-        return sum(row.failed for row in self.epochs)
-
-    @property
-    def events(self) -> int:
-        return sum(row.events for row in self.epochs)
-
-    @property
-    def ops_per_s(self) -> float:
-        return self.issued / self.wall_s if self.wall_s > 0 else float("inf")
-
-    def object_totals(self) -> List[Dict[str, int]]:
-        """Per-object totals across every epoch (hot keys show up here)."""
-        totals = [
-            {"issued": 0, "completed": 0, "failed": 0, "writes": 0, "reads": 0}
-            for _ in range(self.objects)
-        ]
-        for row in self.object_rows:
-            bucket = totals[row.object]
-            bucket["issued"] += row.issued
-            bucket["completed"] += row.completed
-            bucket["failed"] += row.failed
-            bucket["writes"] += row.writes
-            bucket["reads"] += row.reads
-        return totals
-
-    def replay_history(self, index: int) -> History:
-        """Object ``index``'s merged global history (keep_records runs)."""
-        if self.replay_histories is None:
-            raise TypeError(
-                f"{type(self).__name__} records through sharded per-object "
-                f"StreamingRecorder sinks; rerun a small run with "
-                f"keep_records=True for whole-history analyses"
-            )
-        return self.replay_histories[index]
-
-    # -- serialisation ------------------------------------------------------
-    def to_jsonable(self) -> Dict[str, object]:
-        return {
-            "schema_version": LONGRUN_SCHEMA_VERSION,
-            "kind": "multiobj-longrun",
-            "protocol": self.protocol,
-            "params": dict(self.params),
-            "totals": {
-                "issued": self.issued,
-                "completed": self.completed,
-                "failed": self.failed,
-                "events": self.events,
-                "stream_max_resident": self.stream_max_resident,
-            },
-            "object_totals": self.object_totals(),
-            "verdict": self.verdict.to_jsonable(),
-            "local_violations": [
-                {
-                    "object": obj,
-                    "kind": v.kind,
-                    "description": v.description,
-                    "op_ids": list(v.op_ids),
-                }
-                for obj, v in self.local_violations
-            ],
-            "epochs": [row.as_dict() for row in self.epochs],
-            "object_rows": [row.as_dict() for row in self.object_rows],
-        }
-
-
-def run_multi_longrun(
-    protocol: str = "SODA",
-    *,
-    ops: int = 100_000,
-    epoch_ops: int = 25_000,
-    jobs: int = 1,
-    objects: int = 8,
-    key_dist: str = "uniform",
-    n: int = 6,
-    f: int = 2,
-    num_writers: int = 1,
-    num_readers: int = 1,
-    value_size: int = 32,
-    mean_gap: float = 0.25,
-    window: int = 128,
-    frontier_limit: int = 256,
-    seed: int = 0,
-    keep_records: bool = False,
-    protocol_kwargs: Optional[Mapping[str, object]] = None,
-    checker_workers: int = 1,
-    faults: object = "none",
-) -> MultiObjectLongRunReport:
-    """Run one multi-object long streamed execution, sharded into epochs.
-
-    Same epoch grid contract as :func:`run_longrun`: the grid depends only
-    on the parameters, epochs own derived seeds, and the namespace verdict
-    — per-object merges aggregated by
-    :func:`~repro.consistency.shardmerge.merge_namespace_verdicts` — is
-    byte-identical for every ``jobs`` count.  ``checker_workers`` moves
-    each epoch's per-object checkers into spawned worker processes; the
-    verdict is byte-identical for every worker count too (and epochs
-    running inside a ``jobs>1`` sweep pool fall back to serial checking —
-    daemonic workers cannot spawn children).
-
-    Defaults are smaller than the single-register long run (fewer clients,
-    smaller window) because the namespace multiplies both by ``objects``.
-    """
-    if ops < 1:
-        raise ValueError("ops must be positive")
-    if epoch_ops < 1:
-        raise ValueError("epoch_ops must be positive")
-    if objects < 1:
-        raise ValueError("objects must be positive")
-    dist_spec = parse_key_dist(key_dist).spec()  # validate + canonicalise
-    faults_spec = canonical_fault_spec(faults)
-    cluster_kwargs = (
-        dict(protocol_kwargs)
-        if protocol_kwargs is not None
-        else default_protocol_kwargs(protocol)
-    )
-    epochs = math.ceil(ops / epoch_ops)
-    grid = tuple(
-        {
-            "protocol": protocol,
-            "n": n,
-            "f": f,
-            "num_writers": num_writers,
-            "num_readers": num_readers,
-            "objects": objects,
-            "key_dist_spec": dist_spec,
-            "epoch_index": k,
-            "ops": min(epoch_ops, ops - k * epoch_ops),
-            "value_size": value_size,
-            "mean_gap": mean_gap,
-            "window": window,
-            "frontier_limit": frontier_limit,
-            "keep_records": keep_records,
-            "cluster_kwargs": cluster_kwargs,
-            "checker_workers": checker_workers,
-            "faults_spec": faults_spec,
-        }
-        for k in range(epochs)
-    )
-    spec = SweepSpec(
-        name=f"multiobj-{protocol.lower()}",
-        fn=multiobj_epoch_point,
-        grid=grid,
-        base_seed=seed,
-        description=(
-            f"multi-object {protocol} run, {ops} ops over {objects} objects "
-            f"({dist_spec}) in {epochs} epochs"
-        ),
-    )
-    epoch_rows: List[MultiEpochRow] = []
-    object_rows: List[MultiObjectEpochRow] = []
-    shards_by_object: List[List[ShardVerdict]] = [[] for _ in range(objects)]
-    local_violations: List[Tuple[int, Violation]] = []
-    replays = [History() for _ in range(objects)] if keep_records else None
-    offset = EPOCH_GAP
-
-    def consume(result: Dict[str, object]) -> None:
-        """Fold one finished epoch into the report state (epoch order)."""
-        nonlocal offset
-        k = result["epoch"]
-        epoch_ok = True
-        for j, payload in enumerate(result["objects"]):
-            verdict: ShardVerdict = payload["verdict"]
-            rebased = ShardVerdict(
-                index=k,
-                ops_seen=verdict.ops_seen,
-                reads_checked=verdict.reads_checked,
-                summaries=tuple(
-                    _rebase_summary(s, k, offset) for s in verdict.summaries
-                ),
-                duplicate_claims=tuple(
-                    (key, _qualify(op_id, k) or "?", invoked + offset)
-                    for key, op_id, invoked in verdict.duplicate_claims
-                ),
-                violations=tuple(
-                    _qualify_violation(v, k) for v in verdict.violations
-                ),
-            )
-            shards_by_object[j].append(rebased)
-            local_violations.extend((j, v) for v in rebased.violations)
-            epoch_ok = epoch_ok and payload["checker_ok"]
-            object_rows.append(
-                MultiObjectEpochRow(
-                    epoch=k,
-                    object=j,
-                    seed=result["seed"],
-                    allocated=payload["allocated"],
-                    issued=payload["issued"],
-                    completed=payload["completed"],
-                    failed=payload["failed"],
-                    writes=payload["writes"],
-                    reads=payload["reads"],
-                    distinct_writes=payload["distinct_writes"],
-                    offset=offset,
-                    max_resident=payload["max_resident"],
-                    evicted=payload["evicted"],
-                    checker_ok=payload["checker_ok"],
-                )
-            )
-            if replays is not None:
-                marker_id = f"<epoch{k}-initial>"
-                replays[j].record(
-                    OperationRecord(
-                        op_id=marker_id,
-                        kind="write",
-                        client=marker_id,
-                        invoked_at=offset - 0.75 * EPOCH_GAP,
-                        responded_at=offset - 0.5 * EPOCH_GAP,
-                        value=_epoch_marker(k),
-                    )
-                )
-                for op_id, kind, client, inv, resp, value, failed in payload[
-                    "records"
-                ]:
-                    replays[j].record(
-                        OperationRecord(
-                            op_id=_qualify(op_id, k) or "?",
-                            kind=kind,
-                            client=f"e{k}:{client}",
-                            invoked_at=inv + offset,
-                            responded_at=None if resp is None else resp + offset,
-                            value=value,
-                            failed=failed,
-                        )
-                    )
-        epoch_rows.append(
-            MultiEpochRow(
-                index=k,
-                seed=result["seed"],
-                ops=result["ops"],
-                issued=sum(p["issued"] for p in result["objects"]),
-                completed=sum(p["completed"] for p in result["objects"]),
-                failed=sum(p["failed"] for p in result["objects"]),
-                end_time=result["end_time"],
-                offset=offset,
-                events=result["events"],
-                max_resident=result["max_resident"],
-                checker_ok=epoch_ok,
-            )
-        )
-        offset += result["end_time"] + EPOCH_GAP
-
-    # Pipelined merge, as in run_longrun: namespace epochs stream out of
-    # the pool in completion order and are folded in epoch order by the
-    # in_order cursor, overlapping per-object rebase/summary work with
-    # epochs still simulating; artefacts stay byte-identical for any jobs.
-    start = time.perf_counter()
-    worker_rss = 0
-    for result in in_order(iter_sweep(spec, jobs=jobs)):
-        worker_rss = max(worker_rss, result["max_rss_kb"])
-        consume(result)
-    merged = merge_namespace_verdicts(shards_by_object, initial_value=None)
-    wall_s = time.perf_counter() - start
-    return MultiObjectLongRunReport(
-        protocol=protocol,
-        n=n,
-        f=f,
-        objects=objects,
-        params={
-            "ops": ops,
-            "epoch_ops": epoch_ops,
-            "epochs": epochs,
-            "objects": objects,
-            "key_dist": dist_spec,
-            "n": n,
-            "f": f,
-            "num_writers": num_writers,
-            "num_readers": num_readers,
-            "value_size": value_size,
-            "mean_gap": mean_gap,
-            "window": window,
-            "frontier_limit": frontier_limit,
-            "seed": seed,
-            **({"faults": faults_spec} if faults_spec != "none" else {}),
-            **{
-                f"protocol_{key}": value
-                for key, value in sorted(cluster_kwargs.items())
-            },
-        },
-        epochs=epoch_rows,
-        object_rows=object_rows,
-        verdict=merged,
-        local_violations=tuple(local_violations),
-        stream_max_resident=max(row.max_resident for row in epoch_rows),
-        wall_s=wall_s,
-        jobs=jobs,
-        worker_max_rss_kb=worker_rss,
-        replay_histories=replays,
-    )
-
-
-def multiobj_artefact_paths(
-    report: MultiObjectLongRunReport, directory: Path
-) -> Tuple[Path, Path]:
-    stem = (
-        f"multiobj_{report.protocol.lower()}_"
-        f"{report.objects}x{report.params['ops']}"
-    )
-    return directory / f"{stem}.json", directory / f"{stem}.csv"
-
-
-def write_multiobj_artefacts(
-    report: MultiObjectLongRunReport, directory: Path
-) -> Tuple[Path, Path]:
-    """Write the deterministic multi-object JSON report and the per-(epoch,
-    object) CSV under ``directory``; byte-identical for any jobs count."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    json_path, csv_path = multiobj_artefact_paths(report, directory)
-    json_path.write_text(
-        json.dumps(report.to_jsonable(), indent=2, sort_keys=True) + "\n"
-    )
-    fieldnames = list(report.object_rows[0].as_dict()) if report.object_rows else []
-    with csv_path.open("w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=fieldnames)
-        writer.writeheader()
-        for row in report.object_rows:
             writer.writerow(row.as_dict())
     return json_path, csv_path

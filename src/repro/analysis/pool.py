@@ -1,23 +1,25 @@
 """Shared spawn-pool scaffolding for the sharded experiment engines.
 
-Every sharded engine in this package — sweeps, long runs, open-loop runs,
-adversarial runs and the fleet engine — has the same execution shape: a
+Every sharded engine in this package — sweeps, single-register long runs
+and the namespace (fleet) engine — has the same execution shape: a
 deterministic grid of picklable payloads fans out over a ``spawn``
-multiprocessing pool, results stream back in *completion* order
-(``imap_unordered``, so post-processing pipelines against points still
-simulating), and order-sensitive consumers restore grid order with a
-buffered next-expected cursor.  This module is that shape, extracted once:
+process pool, results stream back in *completion* order (so
+post-processing pipelines against points still simulating), and
+order-sensitive consumers restore grid order with a buffered
+next-expected cursor.  This module is that shape, extracted once:
 
 * :func:`iter_unordered` — the pool body (serial in-process for ``jobs=1``
-  or single-payload grids, a ``spawn`` pool otherwise);
+  or single-payload grids, a ``spawn``
+  :class:`~concurrent.futures.ProcessPoolExecutor` otherwise).  A worker
+  that dies mid-payload (killed, ``os._exit``, out of memory) fails the
+  run at once with an error naming the payload index instead of hanging;
 * :func:`in_order` — the order-restoring cursor over ``(index, result)``
   pairs;
-* :func:`resolve_workers` — the daemonic-context guard: a worker process
-  of a spawn pool cannot itself spawn children, so nested engines (an
-  epoch point asking for checker workers inside a sweep pool, a fleet
-  cell inside the fleet pool) degrade to serial execution with a loud
-  :class:`RuntimeWarning` instead of crashing — results are byte-identical
-  either way, only the parallelism is lost.
+* :func:`resolve_workers` — the daemonic-context guard: a daemonic process
+  (e.g. a worker of a :class:`multiprocessing.pool.Pool`) cannot spawn
+  children, so a pool requested from inside one degrades to serial
+  execution with a loud :class:`RuntimeWarning` instead of crashing —
+  results are byte-identical either way, only the parallelism is lost.
 
 ``spawn`` rather than ``fork`` everywhere, so workers start from a clean
 interpreter on every platform (no inherited RNG or simulation state);
@@ -26,6 +28,7 @@ payload functions must be module-level to stay picklable.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import warnings
 from typing import Any, Callable, Dict, Iterable, Iterator, Sequence, Tuple
@@ -34,17 +37,17 @@ from typing import Any, Callable, Dict, Iterable, Iterator, Sequence, Tuple
 def resolve_workers(requested: int, *, what: str = "worker processes") -> int:
     """Clamp a requested worker count to what this process may spawn.
 
-    Daemonic processes (every worker of a ``spawn`` pool) cannot create
-    child processes; asking for ``N > 1`` workers from inside one warns
-    loudly and returns 1 — the caller then runs its work serially, which
-    is result-identical by construction in every engine here.
+    Daemonic processes cannot create child processes; asking for
+    ``N > 1`` workers from inside one warns loudly and returns 1 — the
+    caller then runs its work serially, which is result-identical by
+    construction in every engine here.
     """
     if requested < 1:
         raise ValueError(f"{what}: need at least one worker")
     if requested > 1 and multiprocessing.current_process().daemon:
         warnings.warn(
             f"{what}: {requested} worker processes requested inside a "
-            f"daemonic pool worker, which cannot spawn children; degrading "
+            f"daemonic process, which cannot spawn children; degrading "
             f"to serial execution (results are identical, only slower)",
             RuntimeWarning,
             stacklevel=3,
@@ -60,9 +63,12 @@ def iter_unordered(
 
     ``jobs=1`` (or a single payload) runs in-process — no pool, no
     pickling — and yields in payload order; ``jobs>1`` shards the payloads
-    over a ``spawn`` pool and yields as workers finish.  A ``jobs>1``
-    request from inside a daemonic pool worker degrades to serial with a
-    warning (see :func:`resolve_workers`) instead of raising.
+    over a ``spawn`` process pool and yields as workers finish.  Each
+    worker holds one payload at a time, so when a worker process dies the
+    :class:`RuntimeError` raised here names the payload index (its
+    position in ``payloads``) it was running.  A ``jobs>1`` request from
+    inside a daemonic process degrades to serial with a warning (see
+    :func:`resolve_workers`) instead of raising.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
@@ -80,9 +86,48 @@ def _iter_unordered(
         for payload in payloads:
             yield fn(payload)
         return
+    # Imported here so serial runs stay import-light.
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
+
+    workers = min(jobs, len(payloads))
+    queued = iter(enumerate(payloads))
     context = multiprocessing.get_context("spawn")
-    with context.Pool(processes=min(jobs, len(payloads))) as pool:
-        yield from pool.imap_unordered(fn, payloads)
+    pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
+    try:
+        # One payload in flight per worker: a broken pool then implicates
+        # exactly the payloads still running.
+        running = {
+            pool.submit(fn, payload): index
+            for index, payload in itertools.islice(queued, workers)
+        }
+        while running:
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in done:
+                index = running.pop(future)
+                try:
+                    result = future.result()
+                except BrokenProcessPool:
+                    lost = sorted([index, *running.values()])
+                    which = (
+                        f"payload index {lost[0]}"
+                        if len(lost) == 1
+                        else f"one of payload indices {lost}"
+                    )
+                    raise RuntimeError(
+                        f"a pool worker process died while running {which} "
+                        f"(of {len(payloads)} payloads)"
+                    ) from None
+                # Refill before yielding, so the worker is not idle while
+                # the consumer folds this result.
+                for next_index, payload in queued:
+                    running[pool.submit(fn, payload)] = next_index
+                    break
+                yield result
+    finally:
+        # All results are in (or the run failed): let the idle workers
+        # exit without blocking on their interpreter teardown.
+        pool.shutdown(wait=False, cancel_futures=True)
 
 
 def max_rss_kb() -> int:

@@ -22,41 +22,40 @@ paper's tables and theorems, and docs/sweeps.md for the sweep registry).
 point derives its own seed), so ``--jobs`` is purely a wall-clock knob.
 
 ``experiment longrun --ops N --jobs J --protocol P`` streams one long
-real-cluster simulation through bounded recorders with the incremental
-atomicity checker attached online, sharded into epochs over ``J``
-processes; the merged verdict and the JSON/CSV artefacts written under
-``--results-dir`` are byte-identical for every jobs count.
+real-cluster simulation of a single register through bounded recorders
+with the incremental atomicity checker attached online, sharded into
+epochs over ``J`` processes; the merged verdict and the JSON/CSV
+artefacts written under ``--results-dir`` are byte-identical for every
+jobs count.
 
-``experiment longrun --objects N --key-dist zipf:1.1`` switches to the
-multi-object namespace engine: N independent registers multiplexed over
-one shared simulation per epoch, keyed load split by the distribution
-(object 0 is the hottest key), checked per object and merged into
-per-object + aggregate namespace verdicts (``results/multiobj_*``).
+Multi-object runs all go through one namespace engine
+(:mod:`repro.analysis.fleet`): ``experiment longrun --objects N
+--key-dist zipf:1.1`` (N > 1), ``experiment openloop`` and ``experiment
+adversary``.  N independent registers share the keyed load (object 0 is
+the hottest key); each object simulates on its own clock and is checked
+by its own online checker, merged into per-object + aggregate namespace
+verdicts.  ``--fleet P`` (default 1) partitions every epoch's namespace
+into ``P`` slices (LPT on the key-popularity shares), each slice
+simulating its objects in its own spawned process; ``--fleet 1 --jobs 1``
+runs in-process.  Every object's event stream is a pure function of
+``(seed, object)``, so the ``results/fleet_*`` artefacts are
+byte-identical for any ``--fleet``/``--jobs`` combination; the summary
+reports the modelled all-core capacity (``issued / fleet CPU critical
+path``) next to this host's measured wall-clock rate.
 
-``experiment openloop --arrival poisson:4 --jobs J`` drives the cluster
+``experiment openloop --arrival poisson:4`` drives the namespace
 open-loop: arrivals follow a seeded arrival process (Poisson, diurnal,
-burst, or trace replay) independent of completions, a bounded admission
-queue applies ``--admission`` (drop, shed-reads, backpressure), and
-latency percentiles come from bounded-memory mergeable histograms; the
-artefacts under ``--results-dir`` are byte-identical for every jobs
-count.
-
-``--fleet P`` on ``longrun``, ``openloop`` and ``adversary`` switches to
-fleet mode: every epoch's namespace is partitioned into ``P`` slices
-(LPT on the key-popularity shares), each slice simulating its objects in
-its own spawned process, so a namespace run saturates all cores.  Every
-object's event stream is a pure function of ``(seed, object)``, so the
-``results/fleet_*`` artefacts are byte-identical for any
-``--fleet``/``--jobs``/``--checker-workers`` combination; the summary
-reports the all-core capacity (``issued / fleet CPU critical path``)
-alongside this host's wall-clock rate.
+burst, or trace replay on a single object) independent of completions, a
+bounded admission queue applies ``--admission`` (drop, shed-reads,
+backpressure), and latency percentiles come from bounded-memory
+mergeable histograms.
 
 ``--faults`` accepts the unified fault-plan spec
 (:func:`repro.workloads.faults.parse_faults`) on ``longrun``,
 ``openloop`` and ``adversary`` alike; ``experiment adversary`` adds a
 background availability-audit pool and reports whether every register
 driven below ``k`` surviving coded elements was flagged before any
-foreground read stalled (``results/adversary_*``).
+foreground read stalled.
 """
 
 from __future__ import annotations
@@ -67,20 +66,13 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.analysis import experiments as exp
-from repro.analysis.adversary import run_adversary, write_adversary_artefacts
 from repro.analysis.fleet import (
     run_fleet_adversary,
     run_fleet_longrun,
     run_fleet_openloop,
     write_fleet_artefacts,
 )
-from repro.analysis.longrun import (
-    run_longrun,
-    run_multi_longrun,
-    write_longrun_artefacts,
-    write_multiobj_artefacts,
-)
-from repro.analysis.openloop import run_openloop, write_openloop_artefacts
+from repro.analysis.longrun import run_longrun, write_longrun_artefacts
 from repro.analysis.sweeps import available_sweeps, rows_as_dicts, run_named_sweep
 from repro.analysis.tables import format_table, generate_table1
 from repro.baselines.registry import available_protocols, make_cluster
@@ -148,38 +140,50 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_multiobj_longrun(args: argparse.Namespace) -> int:
+def _print_fleet_capacity(report, args: argparse.Namespace) -> None:
+    """The capacity lines shared by all three namespace commands: the
+    modelled one-core-per-partition rate next to this host's measured
+    wall-clock rate."""
+    print(
+        f"capacity (model): {report.fleet_ops_per_s:.0f} ops/s sustained with "
+        f"one core per partition ({report.fleet_cpu_s:.1f} CPU-s critical "
+        f"path, {report.fleet_events_per_s:.0f} events/s)"
+    )
+    print(
+        f"this host       : {report.ops_per_s:.0f} ops/s wall "
+        f"({report.events} simulated events in {report.wall_s:.1f}s, "
+        f"--fleet {args.fleet} --jobs {args.jobs})"
+    )
+
+
+def _cmd_namespace_longrun(args: argparse.Namespace) -> int:
     try:
-        report = run_multi_longrun(
+        report = run_fleet_longrun(
             args.protocol,
             ops=args.ops,
             epoch_ops=args.epoch_ops,
+            fleet=args.fleet,
             jobs=args.jobs,
             objects=args.objects,
             key_dist=args.key_dist,
             n=args.n,
             f=args.f,
             seed=args.seed,
-            checker_workers=args.checker_workers,
             faults=args.faults,
         )
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     print(
-        f"{report.protocol} multiobj longrun: {report.issued} ops over "
-        f"{report.objects} objects ({report.params['key_dist']}), "
-        f"{len(report.epochs)} epochs ({args.jobs} jobs), "
+        f"{report.protocol} namespace longrun: {report.issued} ops over "
+        f"{report.objects} objects ({report.params['key_dist']}) in "
+        f"{args.fleet} partitions, {len(report.epochs)} epochs, "
         f"{report.completed} completed, {report.failed} failed"
     )
-    print(
-        f"throughput      : {report.ops_per_s:.0f} ops/s wall "
-        f"({report.events} simulated events in {report.wall_s:.1f}s)"
-    )
+    _print_fleet_capacity(report, args)
     print(
         f"memory gauge    : stream_max_resident={report.stream_max_resident} "
-        f"records across {report.objects} per-object recorders "
-        f"(window {report.params['window']})"
+        f"records per object recorder (window {report.params['window']})"
     )
     verdict = report.verdict
     print(
@@ -205,68 +209,15 @@ def _cmd_multiobj_longrun(args: argparse.Namespace) -> int:
     for obj, violation in report.local_violations[:5]:
         print(f"  online o{obj}: {violation}")
     if not args.no_artefacts:
-        json_path, csv_path = write_multiobj_artefacts(
-            report, Path(args.results_dir)
-        )
-        print(f"artefacts       : {json_path} {csv_path}")
-    return 0 if report.ok else 1
-
-
-def _print_fleet_capacity(report, args: argparse.Namespace) -> None:
-    """The fleet capacity lines shared by all three fleet commands."""
-    print(
-        f"capacity        : {report.fleet_ops_per_s:.0f} ops/s sustained with "
-        f"one core per partition ({report.fleet_cpu_s:.1f} CPU-s critical "
-        f"path, {report.fleet_events_per_s:.0f} events/s)"
-    )
-    print(
-        f"this host       : {report.ops_per_s:.0f} ops/s wall "
-        f"({report.events} simulated events in {report.wall_s:.1f}s, "
-        f"--fleet {args.fleet} --jobs {args.jobs})"
-    )
-
-
-def _cmd_fleet_longrun(args: argparse.Namespace) -> int:
-    try:
-        report = run_fleet_longrun(
-            args.protocol,
-            ops=args.ops,
-            epoch_ops=args.epoch_ops,
-            fleet=args.fleet,
-            jobs=args.jobs,
-            objects=args.objects,
-            key_dist=args.key_dist,
-            n=args.n,
-            f=args.f,
-            seed=args.seed,
-            checker_workers=args.checker_workers,
-            faults=args.faults,
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    print(
-        f"{report.protocol} fleet longrun: {report.issued} ops over "
-        f"{report.objects} objects ({report.params['key_dist']}) in "
-        f"{args.fleet} partitions, {len(report.epochs)} epochs, "
-        f"{report.completed} completed, {report.failed} failed"
-    )
-    _print_fleet_capacity(report, args)
-    verdict = report.verdict
-    print(
-        f"namespace       : {'ATOMIC' if report.ok else 'VIOLATIONS'} "
-        f"({verdict.clusters} clusters, {verdict.crossings_tested} crossings "
-        f"tested, {verdict.shards} shards per object)"
-    )
-    for obj, violation in report.local_violations[:5]:
-        print(f"  online o{obj}: {violation}")
-    if not args.no_artefacts:
         json_path, csv_path = write_fleet_artefacts(report, Path(args.results_dir))
         print(f"artefacts       : {json_path} {csv_path}")
     return 0 if report.ok else 1
 
 
-def _cmd_fleet_openloop(args: argparse.Namespace) -> int:
+def _cmd_openloop(args: argparse.Namespace) -> int:
+    if args.objects < 1:
+        print(f"--objects must be at least 1, got {args.objects}", file=sys.stderr)
+        return 2
     num_writers = max(1, args.clients // 2)
     num_readers = max(1, args.clients - num_writers)
     try:
@@ -296,7 +247,7 @@ def _cmd_fleet_openloop(args: argparse.Namespace) -> int:
         return 2
     summary = report.latency().summary()
     print(
-        f"{report.protocol} fleet openloop: {report.arrived} arrivals "
+        f"{report.protocol} openloop: {report.arrived} arrivals "
         f"({report.params['arrival']}) over {report.objects} objects in "
         f"{args.fleet} partitions, {len(report.epochs)} epochs, "
         f"policy {report.params['policy']}"
@@ -305,7 +256,16 @@ def _cmd_fleet_openloop(args: argparse.Namespace) -> int:
         f"admission       : {report.admitted} admitted, {report.rejected} "
         f"rejected, {report.shed_reads} reads shed, {report.timed_out} timed out"
     )
+    in_flight = report.issued - report.completed - report.failed
+    print(
+        f"outcome         : {report.completed} completed "
+        f"({report.writes} writes / {report.reads} reads), "
+        f"{report.failed} failed, {in_flight} in flight at end"
+    )
     _print_fleet_capacity(report, args)
+    print(
+        f"sustained       : {report.sim_ops_per_s:.0f} ops/s of simulated time"
+    )
     print(
         f"latency (ms)    : p50={format_latency(report.p50)} "
         f"p99={format_latency(report.p99)} p999={format_latency(report.p999)} "
@@ -321,7 +281,14 @@ def _cmd_fleet_openloop(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_fleet_adversary(args: argparse.Namespace, faults: str) -> int:
+def _cmd_adversary(args: argparse.Namespace) -> int:
+    # 'none' (the shared flag default) means "the canonical adversarial
+    # plan" here — an adversary run with no faults has nothing to detect.
+    faults = (
+        args.faults
+        if args.faults != "none"
+        else "withhold:1:40:30;partition:2:10:12"
+    )
     try:
         report = run_fleet_adversary(
             args.protocol,
@@ -336,19 +303,24 @@ def _cmd_fleet_adversary(args: argparse.Namespace, faults: str) -> int:
             f=args.f,
             seed=args.seed,
             stall_threshold=args.stall_threshold,
-            checker_workers=args.checker_workers,
         )
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     detection = report.detection_summary()
     print(
-        f"{report.protocol} fleet adversary: {report.issued} ops over "
+        f"{report.protocol} adversary run: {report.issued} ops over "
         f"{report.objects} objects under {report.params['faults']!r} in "
         f"{args.fleet} partitions, {len(report.epochs)} epochs, "
         f"{report.completed} completed, {report.failed} failed"
     )
     _print_fleet_capacity(report, args)
+    verdict = report.verdict
+    print(
+        f"namespace       : {'ATOMIC' if report.checker_ok else 'VIOLATIONS'} "
+        f"({verdict.clusters} clusters, {verdict.crossings_tested} crossings "
+        f"tested, {verdict.shards} shards per object)"
+    )
     print(
         f"audit detection : {detection['detected']}/{detection['below_k_rows']} "
         f"below-k registers flagged "
@@ -376,10 +348,8 @@ def _cmd_longrun(args: argparse.Namespace) -> int:
     if args.objects < 1:
         print(f"--objects must be at least 1, got {args.objects}", file=sys.stderr)
         return 2
-    if args.fleet:
-        return _cmd_fleet_longrun(args)
     if args.objects > 1:
-        return _cmd_multiobj_longrun(args)
+        return _cmd_namespace_longrun(args)
     if args.key_dist != "uniform":
         print(
             f"--key-dist {args.key_dist!r} has no effect on a single register; "
@@ -432,146 +402,6 @@ def _cmd_longrun(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_openloop(args: argparse.Namespace) -> int:
-    if args.objects < 1:
-        print(f"--objects must be at least 1, got {args.objects}", file=sys.stderr)
-        return 2
-    if args.fleet:
-        return _cmd_fleet_openloop(args)
-    num_writers = max(1, args.clients // 2)
-    num_readers = max(1, args.clients - num_writers)
-    try:
-        report = run_openloop(
-            args.protocol,
-            ops=args.ops,
-            epoch_ops=args.epoch_ops,
-            jobs=args.jobs,
-            objects=args.objects,
-            key_dist=args.key_dist,
-            arrival=args.arrival,
-            read_fraction=args.read_fraction,
-            policy=args.admission,
-            queue_per_server=args.queue_per_server,
-            op_timeout=args.op_timeout if args.op_timeout > 0 else None,
-            slo=args.slo,
-            n=args.n,
-            f=args.f,
-            num_writers=num_writers,
-            num_readers=num_readers,
-            seed=args.seed,
-            faults=args.faults,
-        )
-    except ValueError as exc:
-        print(f"openloop: {exc}", file=sys.stderr)
-        return 2
-    summary = report.latency().summary()
-    print(
-        f"{report.protocol} openloop: {report.arrived} arrivals "
-        f"({report.params['arrival']}) over {len(report.epochs)} epochs "
-        f"({args.jobs} jobs), policy {report.params['policy']}"
-    )
-    print(
-        f"admission       : {report.admitted} admitted, {report.rejected} "
-        f"rejected, {report.shed_reads} reads shed, {report.timed_out} timed out"
-    )
-    in_flight = report.issued - report.completed - report.failed
-    print(
-        f"outcome         : {report.completed} completed "
-        f"({report.writes} writes / {report.reads} reads), "
-        f"{report.failed} failed, {in_flight} in flight at end"
-    )
-    print(
-        f"throughput      : {report.ops_per_s:.0f} ops/s wall, "
-        f"{report.sim_ops_per_s:.0f} ops/s sustained "
-        f"({report.events} simulated events in {report.wall_s:.1f}s)"
-    )
-    print(
-        f"latency (ms)    : p50={format_latency(report.p50)} "
-        f"p99={format_latency(report.p99)} p999={format_latency(report.p999)} "
-        f"mean={format_latency(summary['mean'])}"
-    )
-    print(
-        f"slo             : {format_latency(100.0 * report.slo_attainment(), precision=2)}% "
-        f"of completed ops within {report.slo:g} ms"
-    )
-    if not args.no_artefacts:
-        json_path, csv_path = write_openloop_artefacts(
-            report, Path(args.results_dir)
-        )
-        print(f"artefacts       : {json_path} {csv_path}")
-    return 0
-
-
-def _cmd_adversary(args: argparse.Namespace) -> int:
-    # 'none' (the shared flag default) means "the canonical adversarial
-    # plan" here — an adversary run with no faults has nothing to detect.
-    faults = (
-        args.faults
-        if args.faults != "none"
-        else "withhold:1:40:30;partition:2:10:12"
-    )
-    if args.fleet:
-        return _cmd_fleet_adversary(args, faults)
-    try:
-        report = run_adversary(
-            args.protocol,
-            ops=args.ops,
-            epoch_ops=args.epoch_ops,
-            jobs=args.jobs,
-            objects=args.objects,
-            key_dist=args.key_dist,
-            faults=faults,
-            n=args.n,
-            f=args.f,
-            seed=args.seed,
-            stall_threshold=args.stall_threshold,
-            checker_workers=args.checker_workers,
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    detection = report.detection_summary()
-    print(
-        f"{report.protocol} adversary run: {report.issued} ops over "
-        f"{report.objects} objects under {report.params['faults']!r}, "
-        f"{len(report.epochs)} epochs ({args.jobs} jobs), "
-        f"{report.completed} completed, {report.failed} failed"
-    )
-    print(
-        f"throughput      : {report.ops_per_s:.0f} ops/s wall "
-        f"({report.events} simulated events in {report.wall_s:.1f}s)"
-    )
-    verdict = report.verdict
-    print(
-        f"namespace       : {'ATOMIC' if report.checker_ok else 'VIOLATIONS'} "
-        f"({verdict.clusters} clusters, {verdict.crossings_tested} crossings "
-        f"tested, {verdict.shards} shards per object)"
-    )
-    print(
-        f"audit detection : {detection['detected']}/{detection['below_k_rows']} "
-        f"below-k registers flagged "
-        f"({detection['detected_before_stall']} before any foreground stall), "
-        f"{detection['missed']} missed, {detection['false_flags']} false flags, "
-        f"{detection['stalled_reads']} stalled reads"
-    )
-    for row in report.object_rows:
-        if row.below_k and not row.detected_before_stall:
-            print(
-                f"  MISSED e{row.epoch}/o{row.object}: "
-                f"{row.surviving_elements} surviving elements, "
-                f"flagged_at={row.first_flagged_at}, "
-                f"first_stall_at={row.first_stall_at}"
-            )
-    for obj, violation in report.local_violations[:5]:
-        print(f"  online o{obj}: {violation}")
-    if not args.no_artefacts:
-        json_path, csv_path = write_adversary_artefacts(
-            report, Path(args.results_dir)
-        )
-        print(f"artefacts       : {json_path} {csv_path}")
-    return 0 if report.ok else 1
-
-
 def _cmd_experiment(args: argparse.Namespace) -> int:
     name = args.name.replace("_", "-")
     if name == "sweep":
@@ -582,6 +412,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             f"takes a second name",
             file=sys.stderr,
         )
+        return 2
+    if name in ("longrun", "openloop", "adversary") and args.fleet < 1:
+        print(f"--fleet must be at least 1, got {args.fleet}", file=sys.stderr)
         return 2
     if name == "longrun":
         return _cmd_longrun(args)
@@ -689,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
         "longrun (streamed real-cluster run with sharded online checking) | "
         "openloop (open-loop traffic engine with admission control and "
         "bounded-memory latency percentiles) | "
-        "adversary (multi-object longrun under a fault plan with "
+        "adversary (namespace run under a fault plan with "
         "availability-audit reads and detection verdicts)",
     )
     p_exp.add_argument(
@@ -731,13 +564,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--objects",
         type=int,
         default=1,
-        help="with 'longrun': number of register objects in the namespace "
-        "(>1 runs the multi-object engine with per-object sharded checking)",
+        help="number of register objects in the namespace; with 'longrun', "
+        ">1 runs the namespace engine (per-object checking, results/fleet_*) "
+        "and 1 the single-register engine; 'openloop' and 'adversary' "
+        "always run the namespace engine",
     )
     p_exp.add_argument(
         "--key-dist",
         default="uniform",
-        help="with 'longrun --objects N': key popularity, 'uniform' or "
+        help="with a namespace run: key popularity, 'uniform' or "
         "'zipf:<theta>' (object 0 is the hottest key)",
     )
     p_exp.add_argument(
@@ -751,24 +586,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="with 'longrun': skip writing artefact files",
     )
     p_exp.add_argument(
-        "--checker-workers",
-        type=int,
-        default=1,
-        help="with 'longrun --objects N': run each epoch's per-object "
-        "checkers in this many spawned worker processes (verdicts are "
-        "byte-identical for any count; >1 is ignored under --jobs>1, "
-        "whose pool workers cannot spawn children)",
-    )
-    p_exp.add_argument(
         "--fleet",
         type=int,
-        default=0,
-        help="with 'longrun'/'openloop'/'adversary': partition the "
-        "namespace's objects into this many fleet partitions, each epoch's "
-        "partitions simulating in their own spawned processes (composes "
-        "with --jobs: up to jobs x fleet processes); artefacts are "
-        "byte-identical for any --fleet/--jobs/--checker-workers "
-        "combination (0 disables fleet mode)",
+        default=1,
+        help="with a namespace run: partition the namespace's objects into "
+        "this many partitions, each epoch's partitions simulating in their "
+        "own spawned processes (composes with --jobs: up to jobs x fleet "
+        "processes; 1 with --jobs 1 runs in-process); artefacts are "
+        "byte-identical for any --fleet/--jobs combination",
     )
     p_exp.add_argument(
         "--arrival",
@@ -776,7 +601,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="with 'openloop': arrival process, 'poisson[:rate]', "
         "'diurnal[:rate[:amplitude[:period]]]', "
         "'burst[:rate_on[:rate_off[:mean_on[:mean_off]]]]' or "
-        "'trace:t1,t2,...' (rates are arrivals per simulated ms)",
+        "'trace:t1,t2,...' (rates are arrivals per simulated ms; a trace "
+        "replays on a single object only)",
     )
     p_exp.add_argument(
         "--admission",

@@ -15,18 +15,13 @@ tests.
 
 Kernel backends
 ---------------
-Each field instance carries one of three interchangeable bulk-kernel
-backends — all byte-identical, differing only in how the per-coefficient
+Each field instance carries one of two interchangeable bulk-kernel
+backends — byte-identical, differing only in how the per-coefficient
 table product is computed:
 
 ``numpy``
-    The always-on portable default: one 1D ``take`` per non-trivial
+    The always-on portable reference: one 1D ``take`` per non-trivial
     coefficient against a 256-byte row of the full 64 KiB product table.
-``split``
-    4-bit split tables: the product ``a * b`` is split into
-    ``a * (b & 0xF) ^ a * (b >> 4 << 4)`` (GF multiplication is linear over
-    XOR), served from two 256 x 16 tables — an 8 KiB working set instead of
-    64 KiB, at the cost of two gathers per coefficient.
 ``native``
     Compiled C kernels (:mod:`repro.erasure.gf_native`, built at runtime via
     cffi) consuming the same product table; uses a 16-lane ``pshufb``
@@ -60,7 +55,7 @@ FIELD_SIZE = 256
 ORDER = FIELD_SIZE - 1  # multiplicative group order
 
 #: The interchangeable bulk-kernel backends (see the module docstring).
-GF_BACKENDS = ("numpy", "split", "native")
+GF_BACKENDS = ("numpy", "native")
 #: Environment variable consulted by :func:`default_backend`.
 BACKEND_ENV_VAR = "REPRO_GF_BACKEND"
 
@@ -98,8 +93,6 @@ class GF256:
         "_inv",
         "_mul_table",
         "_mul_flat",
-        "_split_lo",
-        "_split_hi",
         "_native",
     )
 
@@ -152,15 +145,6 @@ class GF256:
         # Flat view for 1D take-based gathers (row-major: index = a*256 + b).
         self._mul_flat = mul_table.reshape(-1)
         self.backend = backend
-        # 4-bit split tables: SPLIT_LO[a, x] = a*x and SPLIT_HI[a, x] = a*(x<<4)
-        # for x in 0..15 — just strided views copied out of the full table, so
-        # they agree with it entry-for-entry by construction.
-        if backend == "split":
-            self._split_lo = np.ascontiguousarray(mul_table[:, :16])
-            self._split_hi = np.ascontiguousarray(mul_table[:, ::16])
-        else:
-            self._split_lo = None
-            self._split_hi = None
         # The compiled kernels consume self._mul_table directly, so their
         # products are the same table lookups the numpy backend gathers.
         self._native = gf_native.load() if backend == "native" else None
@@ -231,9 +215,8 @@ class GF256:
 
         One gather into the (flattened) 256 x 256 product table on the
         default backend; the index arrays broadcast against each other
-        exactly like ``a * b``.  The split backend does two 8 KiB-table
-        gathers XORed together; the native backend calls the compiled
-        table-walk kernel.  All three produce identical bytes.
+        exactly like ``a * b``.  The native backend calls the compiled
+        table-walk kernel; both produce identical bytes.
         """
         a = np.asarray(a, dtype=np.uint8)
         b = np.asarray(b, dtype=np.uint8)
@@ -252,12 +235,6 @@ class GF256:
                 a.size,
             )
             return out
-        if self.backend == "split":
-            idx = a.astype(np.intp)
-            idx <<= 4
-            lo = self._split_lo.reshape(-1).take(idx + (b & 0x0F), mode="wrap")
-            hi = self._split_hi.reshape(-1).take(idx + (b >> 4), mode="wrap")
-            return lo ^ hi
         idx = a.astype(np.intp)
         idx <<= 8
         idx += b
@@ -282,8 +259,6 @@ class GF256:
             raise ValueError(f"incompatible shapes {A.shape} x {B.shape}")
         if self.backend == "native":
             return self._matmul_native(A, B)
-        if self.backend == "split":
-            return self._matmul_split(A, B)
         return self._matmul_table(A, B)
 
     def _matmul_table(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -307,36 +282,6 @@ class GF256:
                     np.bitwise_xor(out[i], row, out=out[i])
                     continue
                 np.take(mul_table[coeff], row, out=product, mode="wrap")
-                np.bitwise_xor(out[i], product, out=out[i])
-        return out
-
-    def _matmul_split(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        m, p = A.shape
-        q = B.shape[1]
-        out = np.zeros((m, q), dtype=np.uint8)
-        lo_tab = self._split_lo
-        hi_tab = self._split_hi
-        # The 4-bit operand halves are shared by every coefficient touching a
-        # given row of B, so they are materialised once per row, not per
-        # (i, j) pair.  Each partial product XOR-accumulates independently —
-        # out[i] ^= lo ^ hi needs no intermediate combine.
-        b_lo = B & 0x0F
-        b_hi = B >> 4
-        product = np.empty(q, dtype=np.uint8)
-        for j in range(p):
-            row = B[j]
-            row_lo = b_lo[j]
-            row_hi = b_hi[j]
-            for i in range(m):
-                coeff = A[i, j]
-                if coeff == 0:
-                    continue
-                if coeff == 1:
-                    np.bitwise_xor(out[i], row, out=out[i])
-                    continue
-                np.take(lo_tab[coeff], row_lo, out=product, mode="wrap")
-                np.bitwise_xor(out[i], product, out=out[i])
-                np.take(hi_tab[coeff], row_hi, out=product, mode="wrap")
                 np.bitwise_xor(out[i], product, out=out[i])
         return out
 

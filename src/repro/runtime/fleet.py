@@ -20,14 +20,14 @@ simulation*:
 * fault legs and audit clients derive from the object's *global* index
   and the withhold victim draw runs over the logical namespace size
   (:meth:`~repro.runtime.namespace.MultiRegisterCluster.apply_fault_plan`
-  with ``object_ids``/``namespace_size``), reproducing the monolithic
-  namespace's ground truth per object.
+  with ``object_ids``/``namespace_size``), so each object's fault
+  ground truth is partition-independent.
 
 The result: every per-object payload a cell streams back is
 **byte-identical for any ``--fleet P``** — partitioning is purely a
 scheduling decision — which is what lets the analysis layer
 (:mod:`repro.analysis.fleet`) merge cells into artefacts that diff clean
-across every ``--fleet``/``--jobs``/``--checker-workers`` combination.
+across every ``--fleet``/``--jobs`` combination.
 
 Each cell also reports its own CPU time (:func:`time.process_time`
 around the whole cell) and peak RSS: on a machine with at least ``P``
@@ -35,19 +35,21 @@ cores the fleet's wall-clock per epoch is the *maximum* of its cells'
 CPU times, so the analysis layer can report the all-core sustained
 throughput capacity from any host.
 
-Unlike the namespace's shared-clock mode, objects of a fleet cell do
-**not** interleave on one timeline — fleet trades the shared clock for
-process parallelism, which is sound for throughput/latency/detection
-experiments precisely because objects never exchange messages.
+Objects of a cell do **not** interleave on one timeline: each runs on its
+own clock, which is sound for atomicity, throughput, latency and
+detection experiments precisely because objects never exchange messages
+(and linearizability is a local property).
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from repro.analysis.pool import max_rss_kb
 from repro.consistency.multiplex import ObjectCheckerMux
+from repro.consistency.stream import OperationRecord, StreamObserver
 from repro.runtime.audit import AuditConfig, AuditPool
 from repro.runtime.namespace import MultiRegisterCluster, object_namespace
 from repro.workloads.arrivals import parse_arrival
@@ -65,6 +67,54 @@ def fleet_object_seed(epoch_seed: int, object_index: int) -> int:
         f"fleet:{epoch_seed}:object:{object_index}".encode()
     ).digest()
     return int.from_bytes(digest[:8], "little") % (2**63 - 1)
+
+
+class _StallTap(StreamObserver):
+    """Per-object foreground stall detector.
+
+    A read *stalls* at ``invoked_at + threshold``: either it completed
+    with a latency above the threshold, or the epoch ended with it still
+    pending at least ``threshold`` after invocation (a parked read whose
+    client never came back).  ``first_stall_at`` is the earliest such
+    instant — the moment a latency monitor would have paged — so the
+    audit's ``first_flagged_at`` can be compared against it directly on
+    the object's clock.
+    """
+
+    def __init__(self, threshold: float) -> None:
+        self.threshold = threshold
+        self.first_stall_at: Optional[float] = None
+        self.stalled_reads = 0
+        self._pending: Dict[str, float] = {}
+
+    def _stall(self, at: float) -> None:
+        self.stalled_reads += 1
+        if self.first_stall_at is None or at < self.first_stall_at:
+            self.first_stall_at = at
+
+    def on_invoke(self, record: OperationRecord) -> None:
+        if record.kind == "read":
+            self._pending[record.op_id] = record.invoked_at
+
+    def _settle(self, record: OperationRecord) -> None:
+        invoked = self._pending.pop(record.op_id, None)
+        if invoked is None or record.responded_at is None:
+            return
+        if record.responded_at - invoked > self.threshold:
+            self._stall(invoked + self.threshold)
+
+    def on_complete(self, record: OperationRecord) -> None:
+        self._settle(record)
+
+    def on_failed(self, record: OperationRecord) -> None:
+        self._settle(record)
+
+    def finish(self, end_time: float) -> None:
+        """Count reads still parked at epoch end as stalled."""
+        for invoked in self._pending.values():
+            if invoked + self.threshold <= end_time:
+                self._stall(invoked + self.threshold)
+        self._pending = {}
 
 
 def _require_complete(stats, context: str) -> None:
@@ -99,15 +149,14 @@ def _make_subset_cluster(
 
 
 def _closed_loop_object(payload: Dict[str, object], gid: int) -> Dict[str, object]:
-    """One closed-loop fleet object: mirrors one object's slice of
-    :func:`repro.analysis.longrun.multiobj_epoch_point`."""
+    """One closed-loop object: streamed through a bounded recorder with
+    its own online checker, exported as one shard verdict."""
     epoch = payload["epoch"]
     mux = ObjectCheckerMux(
         1,
         window=payload["window"],
         frontier_limit=payload["frontier_limit"],
         initial_value=payload["marker"],
-        workers=payload["checker_workers"],
     )
     cluster = _make_subset_cluster(payload, gid, recorder_factory=mux.recorder)
     if payload["faults_spec"] != "none":
@@ -146,10 +195,9 @@ def _closed_loop_object(payload: Dict[str, object], gid: int) -> Dict[str, objec
 
 
 def _open_loop_object(payload: Dict[str, object], gid: int) -> Dict[str, object]:
-    """One open-loop fleet object: mirrors one object's slice of
-    :func:`repro.analysis.openloop.openloop_epoch_point` — the object's
-    arrival process is the namespace process scaled by its popularity
-    share, exactly as in the monolithic namespace driver."""
+    """One open-loop object: its arrival process is the namespace process
+    scaled by its popularity share, so the offered rate is
+    partition-independent."""
     epoch = payload["epoch"]
     cluster = _make_subset_cluster(payload, gid)
     if payload["faults_spec"] != "none":
@@ -193,12 +241,8 @@ def _open_loop_object(payload: Dict[str, object], gid: int) -> Dict[str, object]
 
 
 def _adversary_object(payload: Dict[str, object], gid: int) -> Dict[str, object]:
-    """One adversarial fleet object: faults + audit + stall detection,
-    mirroring one object's slice of
-    :func:`repro.analysis.adversary.adversary_epoch_point`."""
-    # Lazy: repro.analysis imports this package at its own import time.
-    from repro.analysis.adversary import _StallTap
-
+    """One adversarial object: its fault plan, a background audit client
+    probing availability, and stall detection on the foreground reads."""
     epoch = payload["epoch"]
     epoch_seed = payload["epoch_seed"]
     mux = ObjectCheckerMux(
@@ -206,7 +250,6 @@ def _adversary_object(payload: Dict[str, object], gid: int) -> Dict[str, object]
         window=payload["window"],
         frontier_limit=payload["frontier_limit"],
         initial_value=payload["marker"],
-        workers=payload["checker_workers"],
     )
     tap = mux.recorders[0].subscribe(_StallTap(payload["stall_threshold"]))
     cluster = _make_subset_cluster(payload, gid, recorder_factory=mux.recorder)
@@ -299,8 +342,6 @@ def fleet_cell_point(payload: Dict[str, object]) -> Tuple[int, Dict[str, object]
     in the ``epochs × partitions`` grid, consumed by the order-restoring
     cursor on the coordinator.
     """
-    from repro.analysis.pool import max_rss_kb  # lazy: see module docstring
-
     runner = _OBJECT_RUNNERS[payload["mode"]]
     wall0 = time.perf_counter()
     cpu0 = time.process_time()

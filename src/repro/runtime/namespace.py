@@ -205,7 +205,7 @@ class MultiRegisterCluster:
     plans all use the global index), while allocation and fault-victim
     draws consume their rng over ``namespace_size`` — so a fleet of
     subset clusters, each simulating a slice of the namespace, reproduces
-    exactly the per-object inputs of the monolithic cluster.  Both
+    exactly the per-object inputs of the full-namespace cluster.  Both
     default to the hosted count, which is byte-identical to the
     pre-subset behaviour.
     """
@@ -358,7 +358,7 @@ class MultiRegisterCluster:
             self.apply_fault_plan(faults, seed=seed)
         dist = key_dist if key_dist is not None else KeyDistribution.uniform()
         # Drawn over the whole logical namespace, so a subset cluster
-        # reproduces the monolithic per-object budgets and driver seeds.
+        # reproduces the full-namespace per-object budgets and driver seeds.
         plan = plan_objects(dist, operations, self.namespace_size, seed)
         allocation = [plan.allocation[g] for g in self.object_ids]
         events_before = self.sim.events_processed
@@ -431,7 +431,8 @@ class MultiRegisterCluster:
         open-loop driver (bounded admission queue, policy, timeout) with a
         derived seed, and one shared simulation run drives them all —
         reproducible event-for-event for any shard fan-out.  Trace
-        arrivals cannot be rescaled and raise ``ValueError`` here.
+        arrivals replay only on a single-object namespace (share 1) and
+        raise ``ValueError`` otherwise.
 
         Driver knobs may come from a shared
         :class:`~repro.runtime.config.RunConfig` (``config``); explicit
@@ -456,7 +457,7 @@ class MultiRegisterCluster:
             self.apply_fault_plan(faults, seed=seed)
         dist = key_dist if key_dist is not None else KeyDistribution.uniform()
         # Drawn over the whole logical namespace, so a subset cluster
-        # reproduces the monolithic per-object budgets, arrival shares
+        # reproduces the full-namespace per-object budgets, arrival shares
         # and driver seeds.
         plan = plan_objects(dist, operations, self.namespace_size, seed)
         allocation = [plan.allocation[g] for g in self.object_ids]
@@ -569,7 +570,7 @@ class MultiRegisterCluster:
         # Every per-object rng derives from the object's *global* index,
         # and the withhold victim draw runs over the *logical* namespace
         # size — so a subset cluster materialises exactly the faults its
-        # objects would see in the monolithic namespace (for a full
+        # objects would see in the full namespace (for a full
         # cluster both reduce to the hosted count).
         count = self.namespace_size
         if not plan:

@@ -291,10 +291,16 @@ class TraceArrivals(ArrivalProcess):
     def spec(self) -> str:
         return "trace:" + ",".join(f"{t:g}" for t in self.times)
 
-    def scaled(self, factor: float) -> "ArrivalProcess":
+    def scaled(self, factor: float) -> "TraceArrivals":
+        """The trace itself for ``factor == 1`` (a single-object
+        namespace replays it verbatim); any other factor raises — a
+        recorded schedule has no rate to rescale."""
+        if factor == 1.0:
+            return self
         raise ValueError(
-            "trace arrivals cannot be rescaled; use a synthetic arrival "
-            "family (poisson/diurnal/burst) for namespace load splitting"
+            "trace arrivals cannot be rescaled; replay a trace on a single "
+            "object or use a synthetic arrival family (poisson/diurnal/burst) "
+            "for namespace load splitting"
         )
 
 

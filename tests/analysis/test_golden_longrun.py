@@ -1,23 +1,19 @@
-"""Golden long-run artefact bytes: small sharded runs recorded on the
-pre-overhaul engine (see tests/golden/README.md) must reproduce
+"""Golden long-run artefact bytes: small sharded runs recorded on a
+known-good revision (see tests/golden/README.md) must reproduce
 byte-identically — across the event-loop/network rewrite, the pipelined
-`imap_unordered` merge, and any jobs count.
+pool merge, and any jobs/fleet count.
 """
 
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.longrun import (
-    run_longrun,
-    run_multi_longrun,
-    write_longrun_artefacts,
-    write_multiobj_artefacts,
-)
+from repro.analysis.fleet import run_fleet_longrun, write_fleet_artefacts
+from repro.analysis.longrun import run_longrun, write_longrun_artefacts
 from tests.golden.capture_goldens import (
+    FLEET_SCENARIO,
     GOLDEN_DIR,
     LONGRUN_SCENARIO,
-    MULTIOBJ_SCENARIO,
 )
 
 
@@ -38,9 +34,10 @@ def test_longrun_artefacts_match_golden(tmp_path, jobs):
     _assert_identical(csv_path, "longrun_soda_1200.csv")
 
 
-def test_multiobj_artefacts_match_golden(tmp_path):
-    report = run_multi_longrun("SODA", jobs=1, **MULTIOBJ_SCENARIO)
+@pytest.mark.parametrize("fleet", [1, 2])
+def test_fleet_artefacts_match_golden(tmp_path, fleet):
+    report = run_fleet_longrun("SODA", jobs=1, fleet=fleet, **FLEET_SCENARIO)
     assert report.ok
-    json_path, csv_path = write_multiobj_artefacts(report, tmp_path)
-    _assert_identical(json_path, "multiobj_soda_4x600.json")
-    _assert_identical(csv_path, "multiobj_soda_4x600.csv")
+    json_path, csv_path = write_fleet_artefacts(report, tmp_path)
+    _assert_identical(json_path, "fleet_soda_4x600.json")
+    _assert_identical(csv_path, "fleet_soda_4x600.csv")

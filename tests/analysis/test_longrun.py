@@ -1,12 +1,14 @@
 """Tests for the sharded streaming long-run engine."""
 
 import json
+import warnings
 
 import pytest
 
 from repro.analysis.longrun import (
     EPOCH_GAP,
     artefact_paths,
+    longrun_epoch_point,
     run_longrun,
     write_longrun_artefacts,
 )
@@ -150,3 +152,27 @@ class TestValidation:
         report = small_run(ops=250, epoch_ops=100)
         assert [row.ops for row in report.epochs] == [100, 100, 50]
         assert report.issued == 250
+
+    def test_epoch_truncation_raises(self):
+        # Regression: a silently truncated epoch used to be aggregated as
+        # if it had completed.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(RuntimeError, match="truncated"):
+                longrun_epoch_point(
+                    protocol="SODA",
+                    n=5,
+                    f=2,
+                    num_writers=4,
+                    num_readers=4,
+                    epoch_index=0,
+                    ops=200,
+                    value_size=16,
+                    mean_gap=1.0,
+                    window=64,
+                    frontier_limit=64,
+                    keep_records=False,
+                    cluster_kwargs={},
+                    seed=3,
+                    max_events=100,
+                )

@@ -141,67 +141,3 @@ class TestVerdictCaching:
         assert [obj for obj, _ in second] == [1]
         assert mux.violations() is second
         assert mux.flagged_objects() == [1]
-
-
-class TestWorkerMode:
-    """Worker-process checking must be byte-identical to serial checking
-    for any worker count (the chunking depends only on each object's own
-    event sequence), and its accessors must enforce the finish() protocol."""
-
-    @staticmethod
-    def _run(workers, *, objects=4, violate=False):
-        mux = ObjectCheckerMux(objects, window=16, workers=workers)
-        for j in range(objects):
-            feed_clean_history(mux.recorder(j), prefix=f"o{j}")
-            feed_clean_history(mux.recorder(j), prefix=f"x{j}", base=20.0)
-        if violate:
-            inject_stale_read(mux.recorder(2), prefix="o2", base=50.0)
-        mux.finish()
-        return mux
-
-    def test_clean_run_verdicts_identical_across_worker_counts(self):
-        muxes = {workers: self._run(workers) for workers in (1, 2, 3)}
-        assert muxes[2].workers == 2 and muxes[3].workers == 3
-        baseline = muxes[1].shard_verdicts(0)
-        for workers in (2, 3):
-            assert muxes[workers].ok
-            assert muxes[workers].ops_seen == muxes[1].ops_seen
-            assert muxes[workers].shard_verdicts(0) == baseline
-        merged = merge_namespace_verdicts([[v] for v in baseline])
-        for workers in (2, 3):
-            other = merge_namespace_verdicts(
-                [[v] for v in muxes[workers].shard_verdicts(0)]
-            )
-            assert other.to_jsonable() == merged.to_jsonable()
-
-    def test_violation_flags_same_object_in_worker_mode(self):
-        serial = self._run(1, violate=True)
-        parallel = self._run(2, violate=True)
-        assert not serial.ok and not parallel.ok
-        assert serial.flagged_objects() == parallel.flagged_objects() == [2]
-        for j in range(4):
-            assert serial.object_ok(j) == parallel.object_ok(j)
-        # Batch-end testing may report the crossing from each involved
-        # cluster, so the *count* can exceed serial's — but every report
-        # must still land on the injected object.
-        assert {obj for obj, _ in parallel.violations()} == {2}
-        assert project_violations(parallel.violations(), 2)
-
-    def test_checker_access_and_finish_protocol(self):
-        mux = ObjectCheckerMux(2, window=16, workers=2)
-        feed_clean_history(mux.recorder(0), prefix="o0")
-        with pytest.raises(RuntimeError, match="worker processes"):
-            mux.checker(0)
-        with pytest.raises(RuntimeError, match="finish"):
-            mux.object_ok(0)
-        mux.finish()
-        mux.finish()  # idempotent
-        assert mux.ok
-        assert mux.object_ok(1)  # object with no traffic exports clean
-
-    def test_worker_count_capped_to_objects(self):
-        mux = ObjectCheckerMux(2, window=16, workers=8)
-        assert mux.workers == 2
-        feed_clean_history(mux.recorder(0), prefix="o0")
-        mux.finish()
-        assert mux.ok

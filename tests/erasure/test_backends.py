@@ -1,13 +1,12 @@
 """Differential kernel-equivalence fuzz across the GF(2^8) backends.
 
-The numpy (full 256x256 table), split (two 256x16 nibble tables) and
-native (compiled cffi kernels) backends must produce byte-identical
-results for every bulk operation — the backend choice is a pure speed
+The numpy (full 256x256 table) and native (compiled cffi kernels)
+backends must produce byte-identical results for every bulk operation — the backend choice is a pure speed
 knob, never a semantics knob.  These tests pit the backends against each
 other on random inputs for every code in the repository, including the
 errors-and-erasures decoder and a field built on an alternative primitive
-polynomial, so a backend that silently diverges (wrong nibble split,
-kernel indexing bug, SIMD lane mix-up) fails loudly here rather than as a
+polynomial, so a backend that silently diverges (kernel indexing bug,
+SIMD lane mix-up) fails loudly here rather than as a
 corrupted coded element deep inside a protocol run.
 """
 
@@ -108,21 +107,6 @@ def test_matmul_many_validates_shapes():
     assert empty.shape == (0, 10, 7)
 
 
-def test_split_tables_match_full_table():
-    field = GF256(backend="split")
-    full = field._mul_table
-    assert field._split_lo.shape == (256, 16)
-    assert field._split_hi.shape == (256, 16)
-    assert np.array_equal(field._split_lo, full[:, :16])
-    assert np.array_equal(field._split_hi, full[:, ::16])
-    # lo/hi recombination reproduces every product (GF-linearity over XOR).
-    rng = np.random.default_rng(3)
-    a = rng.integers(0, 256, 1000)
-    x = rng.integers(0, 256, 1000)
-    recombined = field._split_lo[a, x & 0x0F] ^ field._split_hi[a, x >> 4]
-    assert np.array_equal(recombined, full[a, x])
-
-
 # ----------------------------------------------------------------------
 # whole codecs
 # ----------------------------------------------------------------------
@@ -189,16 +173,16 @@ def test_decode_with_errors_identical_across_backends(poly, generator):
 # ----------------------------------------------------------------------
 def test_backend_listing_and_selection():
     assert set(BACKENDS) <= set(GF_BACKENDS)
-    assert "numpy" in BACKENDS and "split" in BACKENDS
+    assert "numpy" in BACKENDS
     assert default_backend() in BACKENDS
     with pytest.raises(ValueError):
         GF256(backend="fortran")
     with pytest.raises(ValueError):
         set_default_backend("fortran")
     try:
-        set_default_backend("split")
-        assert default_backend() == "split"
-        assert default_field().backend == "split"
+        set_default_backend("numpy")
+        assert default_backend() == "numpy"
+        assert default_field().backend == "numpy"
     finally:
         set_default_backend(None)
 
@@ -213,8 +197,8 @@ def test_native_backend_selected_field():
 
 
 def test_backend_env_var(monkeypatch):
-    monkeypatch.setenv("REPRO_GF_BACKEND", "split")
-    assert default_backend() == "split"
+    monkeypatch.setenv("REPRO_GF_BACKEND", "numpy")
+    assert default_backend() == "numpy"
     monkeypatch.setenv("REPRO_GF_BACKEND", "cobol")
     with pytest.raises(ValueError):
         default_backend()

@@ -34,7 +34,7 @@ TRACE_SCENARIO = dict(
 
 #: Golden long-run scenarios (mirrored by tests/analysis/test_golden_longrun.py).
 LONGRUN_SCENARIO = dict(ops=1200, epoch_ops=400, n=5, f=2, seed=11)
-MULTIOBJ_SCENARIO = dict(
+FLEET_SCENARIO = dict(
     ops=600, epoch_ops=200, objects=4, key_dist="zipf:1.1", n=5, f=2, seed=11
 )
 
@@ -69,12 +69,8 @@ def record_event_trace() -> list:
 
 
 def main() -> None:
-    from repro.analysis.longrun import (
-        run_longrun,
-        run_multi_longrun,
-        write_longrun_artefacts,
-        write_multiobj_artefacts,
-    )
+    from repro.analysis.fleet import run_fleet_longrun, write_fleet_artefacts
+    from repro.analysis.longrun import run_longrun, write_longrun_artefacts
 
     trace = record_event_trace()
     (GOLDEN_DIR / "golden_event_trace.json").write_text(
@@ -86,9 +82,9 @@ def main() -> None:
     assert report.ok
     print("captured:", *write_longrun_artefacts(report, GOLDEN_DIR))
 
-    multi = run_multi_longrun("SODA", jobs=1, **MULTIOBJ_SCENARIO)
-    assert multi.ok
-    print("captured:", *write_multiobj_artefacts(multi, GOLDEN_DIR))
+    fleet = run_fleet_longrun("SODA", jobs=1, fleet=1, **FLEET_SCENARIO)
+    assert fleet.ok
+    print("captured:", *write_fleet_artefacts(fleet, GOLDEN_DIR))
 
 
 if __name__ == "__main__":

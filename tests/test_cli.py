@@ -154,8 +154,54 @@ class TestMultiObjectLongrunCommand:
         assert "namespace       : ATOMIC" in out
         assert "hottest object  : o0" in out
         assert "object o0" in out and "object o2" in out
-        assert (tmp_path / "multiobj_soda_3x120.json").exists()
-        assert (tmp_path / "multiobj_soda_3x120.csv").exists()
+        assert (tmp_path / "fleet_soda_3x120.json").exists()
+        assert (tmp_path / "fleet_soda_3x120.csv").exists()
+
+    def test_fleet_partitions_write_identical_artefacts(self, tmp_path):
+        argv = [
+            "experiment", "longrun", "--ops", "120", "--epoch-ops", "60",
+            "--objects", "3", "--key-dist", "zipf:1.5", "--seed", "3",
+        ]
+        assert main(argv + ["--results-dir", str(tmp_path / "f1")]) == 0
+        assert (
+            main(argv + ["--fleet", "2", "--results-dir", str(tmp_path / "f2")])
+            == 0
+        )
+        for suffix in (".json", ".csv"):
+            name = f"fleet_soda_3x120{suffix}"
+            assert (tmp_path / "f1" / name).read_bytes() == (
+                tmp_path / "f2" / name
+            ).read_bytes()
+
+    def test_single_object_stays_on_the_register_engine(self, capsys, tmp_path):
+        assert (
+            main(
+                [
+                    "experiment", "longrun", "--ops", "60", "--epoch-ops", "60",
+                    "--objects", "1", "--fleet", "2",
+                    "--results-dir", str(tmp_path),
+                ]
+            )
+            == 0
+        )
+        assert "merged verdict  : ATOMIC" in capsys.readouterr().out
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "longrun_soda_60.csv",
+            "longrun_soda_60.json",
+        ]
+
+    def test_parser_defaults_to_one_partition(self):
+        args = build_parser().parse_args(["experiment", "longrun"])
+        assert args.fleet == 1
+
+    @pytest.mark.parametrize("name", ["longrun", "openloop", "adversary"])
+    def test_zero_fleet_exits_2(self, capsys, name):
+        assert (
+            main(["experiment", name, "--ops", "20", "--objects", "2",
+                  "--fleet", "0", "--no-artefacts"])
+            == 2
+        )
+        assert "--fleet must be at least 1" in capsys.readouterr().err
 
     def test_zero_objects_exits_2(self, capsys):
         assert (
@@ -197,6 +243,53 @@ class TestMultiObjectLongrunCommand:
             == 2
         )
         assert "unknown key distribution" in capsys.readouterr().err
+
+
+class TestOpenloopCommand:
+    def test_trace_replay_on_one_object(self, capsys, tmp_path):
+        assert (
+            main(
+                [
+                    "experiment", "openloop", "--objects", "1",
+                    "--arrival", "trace:1,2,3", "--ops", "3",
+                    "--results-dir", str(tmp_path),
+                ]
+            )
+            == 0
+        )
+        out = capsys.readouterr().out
+        assert "3 arrivals (trace:1,2,3)" in out
+        assert "3 admitted" in out
+        assert (tmp_path / "fleet_openloop_soda_trace_1x3.json").exists()
+
+    def test_trace_over_a_namespace_exits_2(self, capsys):
+        assert (
+            main(
+                [
+                    "experiment", "openloop", "--objects", "2",
+                    "--arrival", "trace:1,2,3", "--ops", "3", "--no-artefacts",
+                ]
+            )
+            == 2
+        )
+        assert "cannot be rescaled" in capsys.readouterr().err
+
+
+class TestAdversaryCommand:
+    def test_detects_and_writes_artefacts(self, capsys, tmp_path):
+        assert (
+            main(
+                [
+                    "experiment", "adversary", "--objects", "2", "--ops", "200",
+                    "--epoch-ops", "100", "--results-dir", str(tmp_path),
+                ]
+            )
+            == 0
+        )
+        out = capsys.readouterr().out
+        assert "namespace       : ATOMIC" in out
+        assert "0 missed, 0 false flags" in out
+        assert (tmp_path / "fleet_adversary_soda_2x200.json").exists()
 
 
 class TestSweepCommand:

@@ -161,6 +161,12 @@ class TestTrace:
     def test_scaled_rejected(self):
         with pytest.raises(ValueError, match="cannot be rescaled"):
             TraceArrivals.from_times([1.0]).scaled(2.0)
+        with pytest.raises(ValueError, match="cannot be rescaled"):
+            TraceArrivals.from_times([1.0]).scaled(0.5)
+
+    def test_unit_scale_replays_the_trace(self):
+        trace = TraceArrivals.from_times([1.0, 2.0])
+        assert trace.scaled(1.0) is trace
 
 
 class TestParse:
